@@ -3,7 +3,9 @@ package client
 import (
 	"encoding/json"
 	"errors"
+	"math/rand"
 
+	"repro/internal/matrix"
 	"repro/internal/service"
 )
 
@@ -14,20 +16,44 @@ import (
 // exported for that server layer; their parameter types are internal, so
 // they are of no use to importers outside this module.
 
-// ServiceRequest lowers a Spec into the service's submission request.
-func ServiceRequest(s Spec) service.JobRequest {
-	var m *service.MatrixSpec
-	if s.Matrix != nil {
-		m = &service.MatrixSpec{N: s.Matrix.N, Data: s.Matrix.Data}
+// maxSpecN bounds the matrix size a single submission may ask the server
+// to materialize (a 4096² matrix is already 128 MiB); without it one
+// request could allocate arbitrarily much memory before any spec
+// validation runs.
+const maxSpecN = 4096
+
+// ServiceSpec lowers a Spec into the service's JobSpec, materializing its
+// input matrix: a copy of explicit data, or the seeded generator's output
+// (matrix.RandomSymmetric, the paper's test-matrix distribution). The
+// input's shape is checked before anything is allocated. Failures are
+// CodeInvalidSpec *Errors naming the offending field.
+func ServiceSpec(s Spec) (service.JobSpec, error) {
+	var a *matrix.Dense
+	switch {
+	case s.Matrix != nil && s.Random != nil:
+		return service.JobSpec{}, errf(CodeInvalidSpec, "matrix", "request has both matrix and random")
+	case s.Matrix != nil:
+		n := s.Matrix.N
+		if n <= 0 || n > maxSpecN {
+			return service.JobSpec{}, errf(CodeInvalidSpec, "matrix", "matrix size %d out of range [1,%d]", n, maxSpecN)
+		}
+		if len(s.Matrix.Data) != n*n {
+			return service.JobSpec{}, errf(CodeInvalidSpec, "matrix", "matrix n=%d wants %d values, got %d", n, n*n, len(s.Matrix.Data))
+		}
+		a = &matrix.Dense{Rows: n, Cols: n, Data: append([]float64(nil), s.Matrix.Data...)}
+		if !a.IsSymmetric(0) {
+			return service.JobSpec{}, errf(CodeInvalidSpec, "matrix", "matrix is not symmetric")
+		}
+	case s.Random != nil:
+		if s.Random.N <= 0 || s.Random.N > maxSpecN {
+			return service.JobSpec{}, errf(CodeInvalidSpec, "random", "random matrix size %d out of range [1,%d]", s.Random.N, maxSpecN)
+		}
+		a = matrix.RandomSymmetric(s.Random.N, rand.New(rand.NewSource(s.Random.Seed)))
+	default:
+		return service.JobSpec{}, errf(CodeInvalidSpec, "matrix", "request has neither matrix nor random")
 	}
-	var r *service.RandomSpec
-	if s.Random != nil {
-		r = &service.RandomSpec{N: s.Random.N, Seed: s.Random.Seed}
-	}
-	return service.JobRequest{
-		Label:       s.Label,
-		Matrix:      m,
-		Random:      r,
+	return service.JobSpec{
+		Matrix:      a,
 		Dim:         s.Dim,
 		Ordering:    s.Ordering,
 		Backend:     s.Backend,
@@ -37,14 +63,15 @@ func ServiceRequest(s Spec) service.JobRequest {
 		MaxSweeps:   s.MaxSweeps,
 		FixedSweeps: s.FixedSweeps,
 		CostOnly:    s.CostOnly,
-		Trace:       s.Trace,
+		WantTrace:   s.Trace,
 		OnePort:     s.OnePort,
 		Ts:          s.Ts,
 		Tw:          s.Tw,
 		Tc:          s.Tc,
-		Priority:    s.Priority,
+		Priority:    service.Priority(s.Priority),
+		Label:       s.Label,
 		Tenant:      s.Tenant,
-	}
+	}, nil
 }
 
 // FromServiceStatus lifts a service job snapshot into the wire shape.

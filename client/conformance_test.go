@@ -10,7 +10,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -105,6 +107,59 @@ func TestConformanceSubmitWaitResult(t *testing.T) {
 		}
 		if m.Completed < 1 || m.Workers != 2 {
 			t.Errorf("metrics: completed=%d workers=%d", m.Completed, m.Workers)
+		}
+	})
+}
+
+// TestConformanceExplicitMatrix: an inline matrix solves on both
+// transports, and the service keeps its own copy — overwriting the
+// caller's data while the job is still queued does not change the answer
+// (the eigenvalues still sum to the original trace).
+func TestConformanceExplicitMatrix(t *testing.T) {
+	eachClient(t, 1, func(t *testing.T, c client.Client) {
+		ctx := context.Background()
+		// A non-converging emulated solve holds the single worker, so the
+		// explicit job is still queued when its input is overwritten.
+		blocker, err := c.Submit(ctx, client.Spec{
+			Random: &client.RandomSpec{N: 64, Seed: 71}, Dim: 2, Backend: "emulated",
+			Tol: 1e-300, MaxSweeps: 100000,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const n = 8
+		data := make([]float64, n*n)
+		trace := 0.0
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				data[i*n+j] = 1 / float64(1+i+j)
+			}
+			data[i*n+i] += n
+			trace += data[i*n+i]
+		}
+		h, err := c.Submit(ctx, client.Spec{Matrix: &client.MatrixSpec{N: n, Data: data}, Dim: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range data {
+			data[i] = math.NaN()
+		}
+		if err := blocker.Cancel(ctx); err != nil {
+			t.Fatal(err)
+		}
+		res, err := h.Wait(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Values) != n || !res.Converged {
+			t.Fatalf("result incomplete: %d values, converged=%v", len(res.Values), res.Converged)
+		}
+		sum := 0.0
+		for _, v := range res.Values {
+			sum += v
+		}
+		if !(math.Abs(sum-trace) <= 1e-9*trace) { // a NaN sum fails too
+			t.Errorf("eigenvalues sum to %v, want the trace %v", sum, trace)
 		}
 	})
 }
@@ -286,6 +341,13 @@ func TestConformanceInvalidSpec(t *testing.T) {
 			{"bad dim", client.Spec{Random: &client.RandomSpec{N: 16, Seed: 1}, Dim: -2}, "dim"},
 			{"bad backend", client.Spec{Random: &client.RandomSpec{N: 16, Seed: 1}, Dim: 1, Backend: "gpu"}, "backend"},
 			{"bad ordering", client.Spec{Random: &client.RandomSpec{N: 16, Seed: 1}, Dim: 1, Ordering: "zig"}, "ordering"},
+			{"both inputs", client.Spec{Random: &client.RandomSpec{N: 16, Seed: 1}, Matrix: &client.MatrixSpec{N: 2, Data: []float64{1, 0, 0, 1}}, Dim: 1}, "matrix"},
+			{"random n=0", client.Spec{Random: &client.RandomSpec{N: 0}, Dim: 1}, "random"},
+			{"random n=4097", client.Spec{Random: &client.RandomSpec{N: 4097}, Dim: 1}, "random"},
+			{"matrix n=4097", client.Spec{Matrix: &client.MatrixSpec{N: 4097}, Dim: 1}, "matrix"},
+			{"data length", client.Spec{Matrix: &client.MatrixSpec{N: 2, Data: []float64{1, 0, 1}}, Dim: 1}, "matrix"},
+			{"asymmetric", client.Spec{Matrix: &client.MatrixSpec{N: 2, Data: []float64{1, 2, 3, 1}}, Dim: 1}, "matrix"},
+			{"long idempotency key", client.Spec{Random: &client.RandomSpec{N: 16, Seed: 1}, Dim: 1, IdempotencyKey: strings.Repeat("k", 129)}, "idempotency_key"},
 		} {
 			_, err := c.Submit(ctx, tc.spec)
 			var ce *client.Error

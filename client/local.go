@@ -88,9 +88,9 @@ func NewLocal(cfg LocalConfig) (*Local, error) {
 
 // Submit validates and enqueues one job on the in-process service.
 func (l *Local) Submit(ctx context.Context, spec Spec) (JobHandle, error) {
-	jspec, err := ServiceRequest(spec).Spec()
+	jspec, err := ServiceSpec(spec)
 	if err != nil {
-		return nil, FromServiceError(err)
+		return nil, err
 	}
 	// The job's lifetime is the handle's, not the submission context's:
 	// both transports behave identically (an HTTP submission also detaches

@@ -6,13 +6,11 @@ import (
 	"flag"
 	"fmt"
 	"math"
-	"math/rand"
 	"os"
 	"time"
 
 	"repro/client"
 	"repro/internal/jacobi"
-	"repro/internal/matrix"
 	"repro/internal/ordering"
 )
 
@@ -129,21 +127,6 @@ func cmdBatch(args []string) error {
 	return nil
 }
 
-// materialize reconstructs a spec's input matrix on the client side — the
-// same construction the server performs — so -check can verify results
-// without the service retaining the O(n²) payload.
-func materialize(spec client.Spec) (*matrix.Dense, error) {
-	switch {
-	case spec.Matrix != nil:
-		n := spec.Matrix.N
-		return &matrix.Dense{Rows: n, Cols: n, Data: append([]float64(nil), spec.Matrix.Data...)}, nil
-	case spec.Random != nil:
-		return matrix.RandomSymmetric(spec.Random.N, rand.New(rand.NewSource(spec.Random.Seed))), nil
-	default:
-		return nil, fmt.Errorf("spec has neither matrix nor random")
-	}
-}
-
 // checkBatch re-runs every job sequentially (the engine's central replay —
 // the single-solve reference) and verifies the eigenvalues. Jobs that ran
 // on a reference-kernel backend (emulated, analytic) must match bitwise;
@@ -178,11 +161,13 @@ func checkBatch(specs []client.Spec, statuses []*client.Status, results []*clien
 		if err != nil {
 			return err
 		}
-		a, err := materialize(spec)
+		// The client-side lowering rebuilds the input exactly as the server
+		// did, so -check needs no server-retained copy of the O(n²) payload.
+		jspec, err := client.ServiceSpec(spec)
 		if err != nil {
 			return fmt.Errorf("job %d: %w", i, err)
 		}
-		seq, err := jacobi.SolveSchedule(a, spec.Dim, fam, jacobi.Options{Tol: spec.Tol, MaxSweeps: spec.MaxSweeps})
+		seq, err := jacobi.SolveSchedule(jspec.Matrix, spec.Dim, fam, jacobi.Options{Tol: spec.Tol, MaxSweeps: spec.MaxSweeps})
 		if err != nil {
 			return fmt.Errorf("job %d sequential reference: %w", i, err)
 		}

@@ -23,8 +23,8 @@
 //	bench      headline backend metrics, optionally written as BENCH_<date>.json
 //	tune       search ordering/pipelining plans per job shape; -data persists
 //	           the winners into the registry `serve -data` auto-selects from
-//	serve      the concurrent batch-solve service over its HTTP API (v2 + v1
-//	           shim); -data makes it durable (crash recovery + solve resume)
+//	serve      the concurrent batch-solve service over its HTTP API (v2);
+//	           -data makes it durable (crash recovery + solve resume)
 //	batch      solve a manifest of problems concurrently, with a summary table
 //	submit     submit one eigensolve through the client API (local or -remote)
 //	watch      stream a remote job's progress events until it finishes
@@ -119,7 +119,7 @@ commands:
   simulate    -m N [-d D] [-sweeps S] emulated vs analytic communication time
   bench       [-m N] [-d D] [-json]  headline backend metrics (BENCH_<date>.json)
   tune        [-shapes n:d[:p],...] [-manifest F] [-data DIR] [-budget T] [-json] tuned-schedule search per job shape
-  serve       [-addr A] [-workers W] [-data DIR] batch-solve service over HTTP (v2 + v1 shim; -data = durable)
+  serve       [-addr A] [-workers W] [-data DIR] batch-solve service over HTTP (v2; -data = durable)
   batch       [-manifest F] [-remote URL] [-check] solve a manifest of problems concurrently
   submit      [-remote URL] [-n N] [-d D] [-watch] submit one eigensolve via the client API
   watch       -remote URL JOB        stream a remote job's progress events

@@ -18,8 +18,8 @@ import (
 	"repro/internal/store"
 )
 
-// cmdServe runs the batch-solve service behind its HTTP API (v2 + the v1
-// shim), with header/idle timeouts on the listener and a graceful drain on
+// cmdServe runs the batch-solve service behind its HTTP API (v2), with
+// header/idle timeouts on the listener and a graceful drain on
 // SIGINT/SIGTERM: the HTTP server stops accepting, in-flight requests
 // (event streams included) get their terminal events, then the listener
 // closes. With -data the service is durable: jobs are journaled and
@@ -131,7 +131,7 @@ func cmdServe(args []string) error {
 	fmt.Println("  GET    /api/v2/jobs/{id}/events progress stream (NDJSON; SSE via Accept)")
 	fmt.Println("  GET    /api/v2/metrics          service metrics")
 	fmt.Println("  GET    /metrics                 the same metrics, Prometheus text format")
-	fmt.Println("  /api/v1/*                       v1 compatibility shim; GET /healthz liveness")
+	fmt.Println("  GET    /healthz                 liveness probe")
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

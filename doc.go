@@ -31,8 +31,8 @@
 //     multi-tenant admission control: per-tenant queue quotas,
 //     token-bucket rate limits and priority-aware load shedding, with
 //     per-outcome latency histograms — DESIGN.md §12); internal/httpapi
-//     mounts it as /api/v2 plus the /api/v1 compatibility shim and a
-//     Prometheus text-format GET /metrics
+//     mounts it as /api/v2 plus a Prometheus text-format GET /metrics
+//     and GET /healthz
 //   - internal/store: the durable job store behind `serve -data` — an
 //     fsync'd CRC-framed journal plus per-job sweep-boundary engine
 //     checkpoints, so a restarted server recovers finished results,

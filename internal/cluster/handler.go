@@ -99,7 +99,7 @@ func (n *Node) Handler(api http.Handler) http.Handler {
 		rec.replay(w)
 	})
 
-	// Everything else — listings, healthz, the v1 shim — serves locally.
+	// Everything else — listings and healthz — serves locally.
 	mux.Handle("/", api)
 	return mux
 }

@@ -1,9 +1,7 @@
 // Package httpapi mounts the versioned HTTP surface of the batch-solve
 // service. /api/v2 is the wire protocol of the public client package —
 // its request and response bodies ARE the client package's exported types,
-// so the protocol has exactly one definition — and /api/v1 stays mounted
-// as a thin compatibility shim (the unversioned handler the service
-// package has always provided).
+// so the protocol has exactly one definition.
 //
 // The v2 surface:
 //
@@ -17,6 +15,7 @@
 //	                                Accept: text/event-stream)
 //	GET    /api/v2/metrics          service metrics
 //	GET    /metrics                 the same metrics, Prometheus text format
+//	GET    /healthz                 liveness probe
 //
 // Errors are structured bodies — client.Error's JSON shape
 // ({code, message, field}) — with conventional status codes. Event streams
@@ -38,11 +37,12 @@ import (
 	"repro/internal/service"
 )
 
-// maxRequestBody bounds submit payloads, matching the v1 limit.
+// maxRequestBody bounds submit payloads (an explicit 4096² matrix in JSON
+// text stays well under this).
 const maxRequestBody = 512 << 20
 
-// NewHandler returns the service's full HTTP surface: /api/v2, the /api/v1
-// shim, and /healthz.
+// NewHandler returns the service's full HTTP surface: /api/v2, /metrics
+// and /healthz.
 func NewHandler(s *service.Service) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /api/v2/jobs", func(w http.ResponseWriter, r *http.Request) {
@@ -165,22 +165,21 @@ func NewHandler(s *service.Service) http.Handler {
 	})
 	// Prometheus text-format exposition of the same snapshot (see prom.go).
 	mux.HandleFunc("GET /metrics", promHandler(s))
-	// Everything else — the whole /api/v1 surface and /healthz — falls
-	// through to the v1 handler, which keeps serving its original wire
-	// format unchanged.
-	mux.Handle("/", service.NewHandler(s))
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	})
 	return mux
 }
 
 // submit runs one spec through idempotent submission and shapes the
 // response status.
 func submit(s *service.Service, spec client.Spec) (client.Status, error) {
-	jspec, err := client.ServiceRequest(spec).Spec()
+	jspec, err := client.ServiceSpec(spec)
 	if err != nil {
-		return client.Status{}, client.FromServiceError(err)
+		return client.Status{}, err
 	}
 	// Jobs outlive the submitting connection: cancellation goes through
-	// DELETE, exactly as in v1.
+	// DELETE.
 	j, reused, err := s.SubmitKeyed(context.Background(), spec.IdempotencyKey, jspec)
 	if err != nil {
 		return client.Status{}, client.FromServiceError(err)

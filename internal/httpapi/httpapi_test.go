@@ -85,8 +85,6 @@ func TestV2StructuredErrors(t *testing.T) {
 	_, srv := newServer(t, service.Config{Workers: 1})
 
 	// Undecodable JSON.
-	code, body := doReq(t, http.MethodPost, srv.URL+"/api/v2/jobs", nil)
-	_ = code
 	resp, err := http.Post(srv.URL+"/api/v2/jobs", "application/json", strings.NewReader("{"))
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +94,7 @@ func TestV2StructuredErrors(t *testing.T) {
 	wantError(t, resp.StatusCode, raw, http.StatusBadRequest, client.CodeBadRequest, "")
 
 	// Spec validation, with the offending field named.
-	code, body = doReq(t, http.MethodPost, srv.URL+"/api/v2/jobs", client.Spec{Dim: 1})
+	code, body := doReq(t, http.MethodPost, srv.URL+"/api/v2/jobs", client.Spec{Dim: 1})
 	wantError(t, code, body, http.StatusBadRequest, client.CodeInvalidSpec, "matrix")
 	code, body = doReq(t, http.MethodPost, srv.URL+"/api/v2/jobs",
 		client.Spec{Random: &client.RandomSpec{N: 16, Seed: 1}, Dim: 1, Backend: "gpu"})
@@ -335,61 +333,16 @@ func TestV2SSEFormat(t *testing.T) {
 	}
 }
 
-// TestV1ShimStillServes: the whole v1 surface keeps working underneath
-// v2, byte format unchanged.
-func TestV1ShimStillServes(t *testing.T) {
+// TestHealthzAndNoV1: /healthz answers 200 and the retired /api/v1
+// surface is gone.
+func TestHealthzAndNoV1(t *testing.T) {
 	_, srv := newServer(t, service.Config{Workers: 1})
-
-	code, body := doReq(t, http.MethodPost, srv.URL+"/api/v1/jobs", service.JobRequest{
-		Random: &service.RandomSpec{N: 16, Seed: 8}, Dim: 1,
-	})
-	if code != http.StatusAccepted {
-		t.Fatalf("v1 submit returned %d: %s", code, body)
+	if code, body := doReq(t, http.MethodGet, srv.URL+"/healthz", nil); code != http.StatusOK {
+		t.Errorf("healthz returned %d: %s", code, body)
 	}
-	var st service.Status
-	if err := json.Unmarshal(body, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.ID == "" {
-		t.Fatal("v1 submit returned no job ID")
-	}
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		code, body = doReq(t, http.MethodGet, srv.URL+"/api/v1/jobs/"+st.ID, nil)
-		if code != http.StatusOK {
-			t.Fatalf("v1 status returned %d", code)
-		}
-		if err := json.Unmarshal(body, &st); err != nil {
-			t.Fatal(err)
-		}
-		if st.State == service.StateDone {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("v1 job never finished")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	// v1 error bodies keep their original (unstructured) shape.
-	code, body = doReq(t, http.MethodGet, srv.URL+"/api/v1/jobs/job-999", nil)
+	code, body := doReq(t, http.MethodPost, srv.URL+"/api/v1/jobs",
+		client.Spec{Random: &client.RandomSpec{N: 16, Seed: 8}, Dim: 1})
 	if code != http.StatusNotFound {
-		t.Fatalf("v1 unknown job returned %d", code)
-	}
-	var v1err map[string]string
-	if err := json.Unmarshal(body, &v1err); err != nil || v1err["error"] == "" {
-		t.Errorf("v1 error body changed shape: %s", body)
-	}
-	if code, _ := doReq(t, http.MethodGet, srv.URL+"/healthz", nil); code != http.StatusOK {
-		t.Errorf("healthz returned %d", code)
-	}
-	// A v1-submitted job is visible through v2, and vice versa — one
-	// service behind both surfaces.
-	code, body = doReq(t, http.MethodGet, srv.URL+"/api/v2/jobs/"+st.ID, nil)
-	if code != http.StatusOK {
-		t.Errorf("v2 status of v1 job returned %d", code)
-	}
-	var fromFmt client.Status
-	if err := json.Unmarshal(body, &fromFmt); err != nil || fromFmt.ID != st.ID {
-		t.Errorf("v2 view of v1 job: %s", body)
+		t.Errorf("POST /api/v1/jobs returned %d, want 404: %s", code, body)
 	}
 }

@@ -374,9 +374,13 @@ func (s *Service) Submit(ctx context.Context, spec JobSpec) (*Job, error) {
 // SubmitKeyed is Submit with an idempotency key: a non-empty key that was
 // already used returns the job it named (reused=true) instead of enqueuing
 // a duplicate, for as long as that job's record is retained (RetainJobs
-// eviction also releases the key). The key is compared verbatim; the spec
-// of a reused submission is not re-validated against the original.
+// eviction also releases the key). The key is compared verbatim and at
+// most 128 bytes long (it is retained and journaled with the job); the
+// spec of a reused submission is not re-validated against the original.
 func (s *Service) SubmitKeyed(ctx context.Context, key string, spec JobSpec) (*Job, bool, error) {
+	if len(key) > 128 {
+		return nil, false, specErrf("idempotency_key", "idempotency key longer than 128 bytes")
+	}
 	// Explicitness is decided before normalization: withDefaults fills in
 	// the default ordering, and a caller who asked for it by name must get
 	// it verbatim (never a tuned substitute).

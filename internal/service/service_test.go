@@ -253,8 +253,8 @@ func TestPriorityOrdering(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Close()
 
-	// Occupy the single worker long enough for the two probes to queue.
-	blocker, err := s.Submit(context.Background(), JobSpec{Matrix: randSym(64, 5), Dim: 2})
+	// Occupy the single worker until both probes have queued.
+	blocker, err := s.Submit(context.Background(), stuckSpec(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,6 +268,7 @@ func TestPriorityOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	blocker.Cancel()
 	if _, err := high.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -282,6 +283,13 @@ func TestPriorityOrdering(t *testing.T) {
 	if _, err := low.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// stuckSpec never converges (its tolerance is below any reachable
+// off-norm) on the emulated backend, so it holds a worker until canceled:
+// a test can wait for it to run without racing its completion.
+func stuckSpec(seed int64) JobSpec {
+	return JobSpec{Matrix: randSym(64, seed), Dim: 2, Backend: BackendEmulated, Tol: 1e-300, MaxSweeps: 100000}
 }
 
 func waitForState(t *testing.T, j *Job, want State) {
@@ -304,7 +312,7 @@ func waitForState(t *testing.T, j *Job, want State) {
 func TestCancelQueued(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Close()
-	blocker, err := s.Submit(context.Background(), JobSpec{Matrix: randSym(64, 8), Dim: 2})
+	blocker, err := s.Submit(context.Background(), stuckSpec(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +393,7 @@ func TestSubmitValidation(t *testing.T) {
 // waits for running ones.
 func TestCloseCancelsQueued(t *testing.T) {
 	s := New(Config{Workers: 1})
-	blocker, err := s.Submit(context.Background(), JobSpec{Matrix: randSym(64, 11), Dim: 2})
+	blocker, err := s.Submit(context.Background(), stuckSpec(11))
 	if err != nil {
 		t.Fatal(err)
 	}
