@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -18,6 +19,7 @@ import (
 	"repro/client"
 	"repro/internal/cluster"
 	"repro/internal/httpapi"
+	"repro/internal/matrix"
 	"repro/internal/service"
 	"repro/internal/store"
 )
@@ -411,6 +413,74 @@ func TestConformanceClusterNoDoubleSubmit(t *testing.T) {
 		}
 		if got != want {
 			t.Fatalf("node %s: holds %d accepted jobs, want %d — the key double-executed", id, got, want)
+		}
+	}
+}
+
+// TestConformanceClusterFramedKeyRouting: a keyed explicit-matrix submit
+// travels as a frame, whose key the cluster router must read from the
+// frame header. Sent to a non-owner it is proxied to the ring owner, and
+// a same-key retry through the same non-owner meets the original job
+// there: Reused, one execution cluster-wide.
+func TestConformanceClusterFramedKeyRouting(t *testing.T) {
+	ids := []string{"a", "b", "c"}
+	ring := cluster.NewRing(ids, 0)
+	const owner, entry = "a", "b"
+	a := matrix.RandomSymmetric(16, rand.New(rand.NewSource(71)))
+	spec := client.Spec{
+		Matrix:         &client.MatrixSpec{N: 16, Data: a.Data},
+		Dim:            1,
+		Backend:        "emulated",
+		IdempotencyKey: keyOwnedBy(t, ring, owner, "framed"),
+	}
+	control := controlResult(t, spec)
+
+	nodes := startCluster(t, ids)
+	cli, err := client.NewHTTP(nodes[entry].srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	proxied := nodes[entry].node.Metrics().RoutedProxied
+	h, err := cli.Submit(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := nodes[entry].node.Metrics().RoutedProxied; got != proxied+1 {
+		t.Fatalf("routed_proxied moved %d -> %d, want one proxied submit", proxied, got)
+	}
+	if _, ok := nodes[owner].svc.Job(h.ID()); !ok {
+		t.Fatalf("job %s is not on the key's owner %s", h.ID(), owner)
+	}
+	res, err := h.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytesEqualFloats(res.Values, control.Values) {
+		t.Fatal("framed submit diverged from the control solve")
+	}
+
+	retry, err := cli.Submit(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := retry.Status(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if retry.ID() != h.ID() || !st.Reused {
+		t.Fatalf("retry got job %s (reused=%v), want the original %s reused", retry.ID(), st.Reused, h.ID())
+	}
+	for _, id := range ids {
+		want := int64(0)
+		if id == owner {
+			want = 1
+		}
+		if got := nodes[id].svc.Metrics().Submitted; got != want {
+			t.Fatalf("node %s accepted %d jobs, want %d", id, got, want)
 		}
 	}
 }

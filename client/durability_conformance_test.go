@@ -2,13 +2,16 @@ package client_test
 
 import (
 	"context"
+	"math/rand"
 	"net/http/httptest"
 	"runtime"
 	"testing"
 	"time"
 
 	"repro/client"
+	"repro/internal/frame"
 	"repro/internal/httpapi"
+	"repro/internal/matrix"
 	"repro/internal/service"
 	"repro/internal/store"
 )
@@ -139,9 +142,23 @@ func TestConformanceKillAndRestartLocal(t *testing.T) {
 // TestConformanceKillAndRestartHTTP: the same scenario across the wire —
 // the server process "dies" (service closed mid-solve), a new server
 // opens the same store, and a fresh HTTP client attaches to the old job
-// ID and receives the uninterrupted result.
+// ID and receives the uninterrupted result. The explicit-matrix case
+// travels as a frame on the wire as well as in the journal.
 func TestConformanceKillAndRestartHTTP(t *testing.T) {
-	spec := slowSpec(202)
+	random := slowSpec(202)
+	explicit := slowSpec(203)
+	a := matrix.RandomSymmetric(explicit.Random.N, rand.New(rand.NewSource(explicit.Random.Seed)))
+	explicit.Random = nil
+	explicit.Matrix = &client.MatrixSpec{N: a.Rows, Data: a.Data}
+	for _, tc := range []struct {
+		name string
+		spec client.Spec
+	}{{"random", random}, {"explicit", explicit}} {
+		t.Run(tc.name, func(t *testing.T) { killAndRestartHTTP(t, tc.spec) })
+	}
+}
+
+func killAndRestartHTTP(t *testing.T, spec client.Spec) {
 	control := controlResult(t, spec)
 	dir := t.TempDir()
 
@@ -172,6 +189,11 @@ func TestConformanceKillAndRestartHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
+	for _, rec := range st2.Records() {
+		if rec.Kind == store.KindSubmitted && rec.ID == h.ID() && !frame.Is(rec.Spec) {
+			t.Fatalf("job %s journaled without a spec frame", h.ID())
+		}
+	}
 	svc2 := service.New(service.Config{Workers: 1, Store: st2})
 	defer svc2.Close()
 	srv2 := httptest.NewServer(httpapi.NewHandler(svc2))

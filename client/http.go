@@ -16,6 +16,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/frame"
 )
 
 // HTTP is the remote Client: it speaks the /api/v2 wire protocol of a
@@ -23,6 +25,13 @@ import (
 // with several endpoints. Job events arrive over a streaming
 // newline-delimited JSON response, so Wait and Events behave like their
 // in-process counterparts — no polling.
+//
+// Submit sends a spec with an explicit Matrix as one binary frame
+// (Content-Type application/x-jacobi-frame): the spec's JSON with
+// matrix.n and no data, then the n² values as raw little-endian float64s.
+// The values arrive bit for bit, so the job is the one the JSON body
+// would have made — same fingerprint, same result. Random specs and
+// SubmitAll batches travel as JSON.
 //
 // Multi-endpoint behavior (NewHTTPMulti): requests go to the preferred
 // endpoint and fail over to the next on a transport error (connection
@@ -119,9 +128,22 @@ func (c *HTTP) keyed(spec Spec) Spec {
 // Submit posts one job to /api/v2/jobs. With several endpoints the spec
 // always travels under an idempotency key (generated if absent), so a
 // connect-error retry against the next endpoint cannot double-execute.
+// A spec with an explicit Matrix travels as a binary frame (see the type
+// docs); any other spec as JSON.
 func (c *HTTP) Submit(ctx context.Context, spec Spec) (JobHandle, error) {
+	spec = c.keyed(spec)
 	var st Status
-	if err := c.doJSON(ctx, http.MethodPost, "/api/v2/jobs", c.keyed(spec), &st); err != nil {
+	var err error
+	if spec.Matrix == nil {
+		err = c.doJSON(ctx, http.MethodPost, "/api/v2/jobs", spec, &st)
+	} else {
+		var body []byte
+		if body, err = encodeFrame(spec); err != nil {
+			return nil, err
+		}
+		err = c.do(ctx, http.MethodPost, "/api/v2/jobs", frame.ContentType, body, &st)
+	}
+	if err != nil {
 		return nil, err
 	}
 	return &httpHandle{c: c, id: st.ID, reused: st.Reused}, nil
@@ -203,25 +225,31 @@ func (c *HTTP) Close() error {
 // are idempotent, POSTs carry idempotency keys); a structured API error
 // returns immediately — the server answered.
 func (c *HTTP) doJSON(ctx context.Context, method, path string, in, out any) error {
-	var data []byte
-	if in != nil {
-		var err error
-		if data, err = json.Marshal(in); err != nil {
-			return fmt.Errorf("client: encode request: %w", err)
-		}
+	if in == nil {
+		return c.do(ctx, method, path, "", nil, out)
 	}
+	data, err := json.Marshal(in)
+	if err != nil {
+		return fmt.Errorf("client: encode request: %w", err)
+	}
+	return c.do(ctx, method, path, "application/json", data, out)
+}
+
+// do is doJSON for a request body already encoded as contentType ("" for
+// no body).
+func (c *HTTP) do(ctx context.Context, method, path, contentType string, data []byte, out any) error {
 	var lastErr error
 	for i := 0; i < len(c.bases); i++ {
 		var body io.Reader
-		if in != nil {
+		if contentType != "" {
 			body = bytes.NewReader(data)
 		}
 		req, err := http.NewRequestWithContext(ctx, method, c.base(i)+path, body)
 		if err != nil {
 			return fmt.Errorf("client: build request: %w", err)
 		}
-		if in != nil {
-			req.Header.Set("Content-Type", "application/json")
+		if contentType != "" {
+			req.Header.Set("Content-Type", contentType)
 		}
 		resp, err := c.hc.Do(req)
 		if err != nil {

@@ -123,6 +123,7 @@ func cmdServe(args []string) error {
 
 	fmt.Printf("jacobitool serve: batch-solve service on %s (%d workers)\n", ln.Addr(), svc.Workers())
 	fmt.Println("  POST   /api/v2/jobs             submit {random:{n,seed}|matrix:{n,data}, dim, ordering, backend, idempotency_key, ...}")
+	fmt.Println("                                   JSON, or an explicit matrix as an application/x-jacobi-frame body")
 	fmt.Println("  POST   /api/v2/batch            submit {jobs:[...]} in one request")
 	fmt.Println("  GET    /api/v2/jobs             list job statuses (?cursor=&limit=)")
 	fmt.Println("  GET    /api/v2/jobs/{id}        job status")

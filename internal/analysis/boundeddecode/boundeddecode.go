@@ -1,5 +1,6 @@
 // Package boundeddecode enforces the wire-decode allocation rule of
-// internal/store and internal/cluster (DESIGN.md §§10/13/15): every
+// internal/store, internal/cluster and internal/frame (DESIGN.md
+// §§9/10/13/15): every
 // make() whose length or capacity derives from decoded wire bytes must
 // be dominated by a comparison bounding that quantity (against a cap
 // constant like maxFrameSize or against the remaining payload) before
@@ -35,8 +36,8 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // Packages is the comma-separated package-name scope. Wire decoding
-// lives in store and cluster; everything else is out of scope.
-var Packages = "store,cluster"
+// lives in store, cluster and frame; everything else is out of scope.
+var Packages = "store,cluster,frame"
 
 func init() {
 	Analyzer.Flags.StringVar(&Packages, "decodepkgs", Packages,

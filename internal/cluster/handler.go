@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"repro/client"
+	"repro/internal/frame"
 )
 
 // The cluster HTTP surface: Handler wraps a node's local API handler
@@ -178,9 +179,15 @@ func (n *Node) routeSubmit(w http.ResponseWriter, r *http.Request, api http.Hand
 	var probe struct {
 		Key string `json:"idempotency_key"`
 	}
-	// A body the probe cannot parse still goes to the local API, which
-	// produces the structured decode error.
-	_ = json.Unmarshal(body, &probe)
+	// A framed submit carries its key in the frame's JSON header; reading
+	// the header alone skips the CRC pass over the matrix, which the
+	// serving node's API checks. A body the probe cannot parse still goes
+	// to the local API, which produces the structured decode error.
+	hdr := body
+	if frame.Is(body) {
+		hdr, _, _ = frame.Header(body)
+	}
+	_ = json.Unmarshal(hdr, &probe)
 	if probe.Key != "" {
 		for _, target := range n.submitTargets(probe.Key) {
 			if n.proxy(w, r, target, body) {

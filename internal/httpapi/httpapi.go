@@ -17,6 +17,12 @@
 //	GET    /metrics                 the same metrics, Prometheus text format
 //	GET    /healthz                 liveness probe
 //
+// POST /api/v2/jobs also accepts an explicit matrix as a binary frame
+// (Content-Type frame.ContentType, see client.DecodeFrame): the spec's
+// JSON header plus the raw float64 values, which is how client.HTTP sends
+// every Matrix spec. JSON bodies stay accepted there; /api/v2/batch is
+// JSON only. A JSON body must hold exactly one value.
+//
 // Errors are structured bodies — client.Error's JSON shape
 // ({code, message, field}) — with conventional status codes. Event streams
 // replay the job's history, then follow live events, and end right after
@@ -29,16 +35,19 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"mime"
 	"net/http"
 	"strconv"
 	"strings"
 
 	"repro/client"
+	"repro/internal/frame"
 	"repro/internal/service"
 )
 
-// maxRequestBody bounds submit payloads (an explicit 4096² matrix in JSON
-// text stays well under this).
+// maxRequestBody bounds submit payloads: an explicit 4096² matrix takes
+// 128 MiB as a frame and stays under this as JSON text too.
 const maxRequestBody = 512 << 20
 
 // NewHandler returns the service's full HTTP surface: /api/v2, /metrics
@@ -46,9 +55,9 @@ const maxRequestBody = 512 << 20
 func NewHandler(s *service.Service) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /api/v2/jobs", func(w http.ResponseWriter, r *http.Request) {
-		var spec client.Spec
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(&spec); err != nil {
-			writeError(w, &client.Error{Code: client.CodeBadRequest, Message: "decode request: " + err.Error()})
+		spec, err := decodeSpec(w, r)
+		if err != nil {
+			writeError(w, err)
 			return
 		}
 		st, err := submit(s, spec)
@@ -62,8 +71,8 @@ func NewHandler(s *service.Service) http.Handler {
 		var req struct {
 			Jobs []client.Spec `json:"jobs"`
 		}
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(&req); err != nil {
-			writeError(w, &client.Error{Code: client.CodeBadRequest, Message: "decode request: " + err.Error()})
+		if err := decodeJSON(w, r, &req); err != nil {
+			writeError(w, err)
 			return
 		}
 		if len(req.Jobs) == 0 {
@@ -169,6 +178,33 @@ func NewHandler(s *service.Service) http.Handler {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	return mux
+}
+
+// decodeSpec reads a POST /api/v2/jobs body: a frame when the request
+// says frame.ContentType, JSON otherwise.
+func decodeSpec(w http.ResponseWriter, r *http.Request) (client.Spec, error) {
+	if mt, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type")); mt != frame.ContentType {
+		var spec client.Spec
+		return spec, decodeJSON(w, r, &spec)
+	}
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	if err != nil {
+		return client.Spec{}, &client.Error{Code: client.CodeBadRequest, Message: "read request: " + err.Error()}
+	}
+	return client.DecodeFrame(data)
+}
+
+// decodeJSON decodes a JSON request body into v. Anything but whitespace
+// after the one JSON value is an error.
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	if err := dec.Decode(v); err != nil {
+		return &client.Error{Code: client.CodeBadRequest, Message: "decode request: " + err.Error()}
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return &client.Error{Code: client.CodeBadRequest, Message: "decode request: data after the JSON body"}
+	}
+	return nil
 }
 
 // submit runs one spec through idempotent submission and shapes the

@@ -64,11 +64,12 @@ func foldRecords(records []store.Record) (map[string]*recoveredJob, []*recovered
 			if _, dup := byID[rec.ID]; dup {
 				continue // corrupt double-submit; first wins
 			}
-			r := &recoveredJob{id: rec.ID, key: rec.Key, backend: rec.Backend, fp: rec.Fp, specRaw: rec.Spec}
-			if err := json.Unmarshal(rec.Spec, &r.spec); err != nil {
+			spec, err := decodeSpecBlob(rec.Spec)
+			if err != nil {
 				fmt.Fprintf(os.Stderr, "service: recovery: job %s spec unreadable, dropped: %v\n", rec.ID, err)
 				continue
 			}
+			r := &recoveredJob{id: rec.ID, key: rec.Key, backend: rec.Backend, fp: rec.Fp, specRaw: rec.Spec, spec: spec}
 			r.seq, _ = seqOfID(rec.ID)
 			byID[rec.ID] = r
 			order = append(order, r)

@@ -698,7 +698,7 @@ func (s *Service) persistSubmitted(j *Job) error {
 	j.mu.Lock()
 	spec := j.spec
 	j.mu.Unlock()
-	specJSON, err := json.Marshal(spec)
+	blob, err := encodeSpecBlob(spec)
 	if err != nil {
 		return err
 	}
@@ -708,7 +708,7 @@ func (s *Service) persistSubmitted(j *Job) error {
 		Key:     j.idemKey,
 		Backend: j.backend,
 		Fp:      j.fp,
-		Spec:    specJSON,
+		Spec:    blob,
 	})
 }
 

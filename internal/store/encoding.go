@@ -63,7 +63,9 @@ type Kind uint8
 
 const (
 	// KindSubmitted records an accepted job: its ID, idempotency key,
-	// resolved backend, and the JSON-encoded spec.
+	// resolved backend, and the encoded spec. The store treats the spec
+	// as opaque bytes; the service writes an internal/frame frame and
+	// still reads the all-JSON specs of older journals.
 	KindSubmitted Kind = 1
 	// KindStarted records that a worker picked the job up.
 	KindStarted Kind = 2
