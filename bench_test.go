@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"repro/internal/ccube"
-	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/engine"
 	"repro/internal/jacobi"
@@ -29,10 +28,10 @@ import (
 // E1 — Table 1: α of the permuted-BR sequences vs the lower bound.
 
 func BenchmarkTable1AlphaPermutedBR(b *testing.B) {
-	var rows []core.SequenceReport
+	var rows []ordering.SequenceReport
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = core.Table1(7, 14)
+		rows, err = ordering.Table1(7, 14)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -54,10 +53,10 @@ func BenchmarkTable1AlphaPermutedBR(b *testing.B) {
 // benchmark iteration; `jacobitool table2` runs the full 30).
 
 func BenchmarkTable2Convergence(b *testing.B) {
-	var cells []core.Table2Cell
+	var cells []jacobi.Table2Cell
 	for i := 0; i < b.N; i++ {
 		var err error
-		cells, err = core.Table2(core.Table2Config{
+		cells, err = jacobi.RunTable2(jacobi.Table2Config{
 			Sizes:  []int{8, 16, 32, 64},
 			Trials: 3,
 			Seed:   1998,
@@ -83,10 +82,10 @@ func BenchmarkTable2Convergence(b *testing.B) {
 // E3/E4/E5 — Figure 2 panels (a) m=2^18, (b) m=2^23, (c) m=2^32.
 
 func benchmarkFigure2(b *testing.B, logM int) {
-	var pts []core.Figure2Point
+	var pts []costmodel.Figure2Point
 	for i := 0; i < b.N; i++ {
 		var err error
-		pts, err = core.Figure2(logM, 15)
+		pts, err = costmodel.Figure2Panel(logM, 15)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -115,11 +114,7 @@ func BenchmarkSimulatedVsAnalytic(b *testing.B) {
 	a := matrix.RandomSymmetric(32, rng)
 	var rel float64
 	for i := 0; i < b.N; i++ {
-		cfg := jacobi.ParallelConfig{Family: ordering.NewBRFamily(), Ts: 1000, Tw: 100, FixedSweeps: 1}
-		_, stats, err := jacobi.SolveParallel(a, 2, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
+		stats := solveOn(b, a, 2, ordering.NewBRFamily(), 1, 0, &engine.Emulated{Ts: 1000, Tw: 100})
 		analytic := costmodel.BaselineSweepCost(2, costmodel.Params{M: 32, Ts: 1000, Tw: 100})
 		rel = (stats.Makespan - analytic) / analytic
 	}
@@ -260,11 +255,11 @@ func BenchmarkRotationKernel(b *testing.B) {
 	for i := range x {
 		x[i], y[i] = rng.NormFloat64(), rng.NormFloat64()
 	}
-	var conv jacobi.ConvTracker
+	var conv engine.ConvTracker
 	b.SetBytes(int64(4 * m * 8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		jacobi.RotatePair(x, y, ux, uy, &conv)
+		engine.RotatePair(x, y, ux, uy, &conv)
 	}
 }
 
@@ -320,33 +315,34 @@ func BenchmarkSolveSequentialSchedule(b *testing.B) {
 	fam := ordering.NewDegree4Family()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := jacobi.SolveSchedule(a, 2, fam, jacobi.Options{}); err != nil {
+		prob, err := engine.NewProblem(a, 2, nil)
+		if err != nil {
 			b.Fatal(err)
 		}
+		prob.Family = fam
+		out, err := prob.RunCentral()
+		if err != nil {
+			b.Fatal(err)
+		}
+		out.Eigen()
 	}
 }
 
 func BenchmarkSolveParallel(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	a := matrix.RandomSymmetric(32, rng)
-	cfg := jacobi.ParallelConfig{Family: ordering.NewDegree4Family(), Ts: 1000, Tw: 100}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := jacobi.SolveParallel(a, 2, cfg); err != nil {
-			b.Fatal(err)
-		}
+		solveOn(b, a, 2, ordering.NewDegree4Family(), 0, 0, &engine.Emulated{Ts: 1000, Tw: 100})
 	}
 }
 
 func BenchmarkSolveParallelPipelined(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
 	a := matrix.RandomSymmetric(32, rng)
-	cfg := jacobi.ParallelConfig{Family: ordering.NewDegree4Family(), Ts: 1000, Tw: 100, PipelineQ: 2}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := jacobi.SolveParallelPipelined(a, 2, cfg); err != nil {
-			b.Fatal(err)
-		}
+		solveOn(b, a, 2, ordering.NewDegree4Family(), 0, 2, &engine.Emulated{Ts: 1000, Tw: 100})
 	}
 }
 
@@ -370,16 +366,15 @@ func BenchmarkTwoSidedReference(b *testing.B) {
 func benchmarkBackend512(b *testing.B, be engine.ExecBackend) {
 	rng := rand.New(rand.NewSource(512))
 	a := matrix.RandomSymmetric(512, rng)
-	cfg := jacobi.ParallelConfig{Family: ordering.NewPermutedBRFamily(), Ts: 1000, Tw: 100, FixedSweeps: 1, Backend: be}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := jacobi.SolveParallel(a, 3, cfg); err != nil {
-			b.Fatal(err)
-		}
+		solveOn(b, a, 3, ordering.NewPermutedBRFamily(), 1, 0, be)
 	}
 }
 
-func BenchmarkBackendEmulated512(b *testing.B)  { benchmarkBackend512(b, nil) }
+func BenchmarkBackendEmulated512(b *testing.B) {
+	benchmarkBackend512(b, &engine.Emulated{Ts: 1000, Tw: 100})
+}
 func BenchmarkBackendMulticore512(b *testing.B) { benchmarkBackend512(b, &engine.Multicore{}) }
 func BenchmarkBackendAnalytic512(b *testing.B) {
 	benchmarkBackend512(b, &engine.Analytic{Ts: 1000, Tw: 100})
@@ -448,10 +443,7 @@ func BenchmarkLinkBalance(b *testing.B) {
 			{ordering.NewPermutedBRFamily(), &pbrShare},
 		} {
 			col := trace.NewCollector()
-			cfg := jacobi.ParallelConfig{Family: entry.fam, Ts: 1000, Tw: 100, FixedSweeps: 1, Trace: col.Record}
-			if _, _, err := jacobi.SolveParallel(a, 4, cfg); err != nil {
-				b.Fatal(err)
-			}
+			solveOn(b, a, 4, entry.fam, 1, 0, &engine.Emulated{Ts: 1000, Tw: 100, OnEvent: col.Record})
 			*entry.dest = col.Summarize(4).MaxDimShare
 		}
 	}
@@ -469,8 +461,35 @@ func BenchmarkSolveSVD(b *testing.B) {
 	fam := ordering.NewDegree4Family()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := jacobi.SolveSVD(a, 2, fam, jacobi.Options{}); err != nil {
+		prob, err := engine.NewSVDProblem(a, 2)
+		if err != nil {
 			b.Fatal(err)
 		}
+		prob.Family = fam
+		out, err := prob.RunCentral()
+		if err != nil {
+			b.Fatal(err)
+		}
+		out.SVD()
 	}
+}
+
+// solveOn runs a fresh eigensolve of a on a d-cube under fam on be, with
+// fixedSweeps > 0 bounding the run and q > 0 pipelining the exchange
+// phases at that degree, and extracts the eigenpairs as every solve does.
+func solveOn(b *testing.B, a *matrix.Dense, d int, fam ordering.Family, fixedSweeps, q int, be engine.ExecBackend) *engine.Stats {
+	b.Helper()
+	prob, err := engine.NewProblem(a, d, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prob.Family = fam
+	prob.FixedSweeps = fixedSweeps
+	prob.Pipelined, prob.PipelineQ = q > 0, q
+	out, stats, err := prob.Run(be)
+	if err != nil {
+		b.Fatal(err)
+	}
+	out.Eigen()
+	return stats
 }

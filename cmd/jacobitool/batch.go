@@ -10,7 +10,7 @@ import (
 	"time"
 
 	"repro/client"
-	"repro/internal/jacobi"
+	"repro/internal/engine"
 	"repro/internal/ordering"
 )
 
@@ -167,10 +167,17 @@ func checkBatch(specs []client.Spec, statuses []*client.Status, results []*clien
 		if err != nil {
 			return fmt.Errorf("job %d: %w", i, err)
 		}
-		seq, err := jacobi.SolveSchedule(jspec.Matrix, spec.Dim, fam, jacobi.Options{Tol: spec.Tol, MaxSweeps: spec.MaxSweeps})
+		prob, err := engine.NewProblem(jspec.Matrix, spec.Dim, nil)
 		if err != nil {
 			return fmt.Errorf("job %d sequential reference: %w", i, err)
 		}
+		prob.Family = fam
+		prob.Opts = engine.Options{Tol: spec.Tol, MaxSweeps: spec.MaxSweeps}
+		out, err := prob.RunCentral()
+		if err != nil {
+			return fmt.Errorf("job %d sequential reference: %w", i, err)
+		}
+		seq := out.Eigen()
 		if len(seq.Values) != len(res.Values) {
 			return fmt.Errorf("job %d: %d values vs sequential %d", i, len(res.Values), len(seq.Values))
 		}

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/costmodel"
 	"repro/internal/engine"
-	"repro/internal/jacobi"
 	"repro/internal/kernel"
 	"repro/internal/matrix"
 	"repro/internal/ordering"
@@ -115,7 +114,17 @@ func cmdBench(args []string) error {
 	}
 	rng := rand.New(rand.NewSource(*seed))
 	a := matrix.RandomSymmetric(*m, rng)
-	base := jacobi.ParallelConfig{Family: fam, Ts: 1000, Tw: 100, FixedSweeps: *sweeps}
+	// solve runs the fixed-sweep bench solve of a on one backend.
+	solve := func(be engine.ExecBackend) (*engine.Stats, error) {
+		prob, err := engine.NewProblem(a, *d, nil)
+		if err != nil {
+			return nil, err
+		}
+		prob.Family = fam
+		prob.FixedSweeps = *sweeps
+		_, stats, err := prob.Run(be)
+		return stats, err
+	}
 
 	rep := benchReport{
 		Date:       time.Now().Format("2006-01-02"),
@@ -135,8 +144,7 @@ func cmdBench(args []string) error {
 
 	// Emulated backend: real serialized payloads + virtual clock, on the
 	// reference kernels.
-	emuCfg := base
-	_, emuStats, err := jacobi.SolveParallel(a, *d, emuCfg)
+	emuStats, err := solve(&engine.Emulated{Ts: 1000, Tw: 100})
 	if err != nil {
 		return fmt.Errorf("emulated solve: %w", err)
 	}
@@ -150,9 +158,7 @@ func cmdBench(args []string) error {
 
 	// Multicore backend: shared memory, no clock, fused kernels — hardware
 	// speed.
-	mcCfg := base
-	mcCfg.Backend = &engine.Multicore{}
-	_, mcStats, err := jacobi.SolveParallel(a, *d, mcCfg)
+	mcStats, err := solve(&engine.Multicore{})
 	if err != nil {
 		return fmt.Errorf("multicore solve: %w", err)
 	}
@@ -166,9 +172,7 @@ func cmdBench(args []string) error {
 		rep.MulticoreWallMs, rep.Speedup, rep.MulticoreNsPerPair, rep.SweepAllocsPerOp)
 
 	// Analytic backend vs the closed-form model.
-	anCfg := base
-	anCfg.Backend = &engine.Analytic{Ts: 1000, Tw: 100}
-	_, anStats, err := jacobi.SolveParallel(a, *d, anCfg)
+	anStats, err := solve(&engine.Analytic{Ts: 1000, Tw: 100})
 	if err != nil {
 		return fmt.Errorf("analytic solve: %w", err)
 	}
@@ -336,25 +340,38 @@ func sweepInnerLoopAllocs(a *matrix.Dense, d int) float64 {
 // ns/pair figures.
 func laneKernelRate(n, lanes int, fam ordering.Family) float64 {
 	const sweeps = 2
-	mk := func() []*jacobi.LaneRequest {
-		reqs := make([]*jacobi.LaneRequest, lanes)
-		for k := range reqs {
-			srng := rand.New(rand.NewSource(int64(4000 + k)))
-			reqs[k] = &jacobi.LaneRequest{A: matrix.RandomSymmetric(n, srng), FixedSweeps: sweeps}
+	mats := make([]*matrix.Dense, lanes)
+	for k := range mats {
+		mats[k] = matrix.RandomSymmetric(n, rand.New(rand.NewSource(int64(4000+k))))
+	}
+	// run times one lane solve of the matrices: block building, the lane
+	// run and the eigenpair extraction.
+	run := func() (time.Duration, error) {
+		start := time.Now()
+		jobs := make([]*engine.LaneJob, lanes)
+		for k, a := range mats {
+			prob, err := engine.NewProblem(a, 2, nil)
+			if err != nil {
+				return 0, err
+			}
+			jobs[k] = &engine.LaneJob{Blocks: prob.Blocks, Rows: prob.Rows, FixedSweeps: sweeps, TraceGram: prob.TraceGram}
 		}
-		return reqs
+		outs, err := (&engine.BatchedBackend{}).RunLane(2, fam, jobs)
+		for _, out := range outs {
+			out.Eigen()
+		}
+		return time.Since(start), err
 	}
 	// One unmeasured run first: the timed figure should reflect the warm
 	// steady state the service sees, not first-touch page faults.
-	if _, err := jacobi.SolveLane(2, fam, false, mk()); err != nil {
+	if _, err := run(); err != nil {
 		return -1
 	}
-	reqs := mk()
-	start := time.Now()
-	if _, err := jacobi.SolveLane(2, fam, false, reqs); err != nil {
+	wall, err := run()
+	if err != nil {
 		return -1
 	}
-	wallNs := float64(time.Since(start).Nanoseconds())
+	wallNs := float64(wall.Nanoseconds())
 	pairs := float64(lanes) * sweeps * float64(n) * float64(n-1) / 2
 	return wallNs / pairs
 }

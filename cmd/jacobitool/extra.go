@@ -6,9 +6,8 @@ import (
 	"math"
 	"math/rand"
 
-	"repro/internal/core"
 	"repro/internal/costmodel"
-	"repro/internal/jacobi"
+	"repro/internal/engine"
 	"repro/internal/matrix"
 	"repro/internal/ordering"
 	"repro/internal/trace"
@@ -57,34 +56,31 @@ func cmdBalance(args []string) error {
 		return err
 	}
 	fmt.Printf("static per-phase link balance at e=%d (imbalance 1.0 = uniform):\n", *d)
-	for _, o := range core.Orderings() {
-		fam, err := o.Family()
-		if err != nil {
-			return err
-		}
+	for _, fam := range ordering.AllFamilies() {
 		u, err := ordering.PhaseLinkUsage(fam, *d)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("  %-9s counts=%v  imbalance=%.2f  entropy=%.3f\n",
-			o, u.PerDim, u.Imbalance, u.BalanceEntropy())
+		fmt.Printf("  %-11s counts=%v  imbalance=%.2f  entropy=%.3f\n",
+			fam.Name(), u.PerDim, u.Imbalance, u.BalanceEntropy())
 	}
 	fmt.Println()
 	fmt.Println("dynamic check: one traced sweep of the distributed solver")
 	rng := rand.New(rand.NewSource(7))
 	a := matrix.RandomSymmetric(*m, rng)
-	for _, o := range []core.Ordering{core.BR, core.PermutedBR} {
-		fam, err := o.Family()
+	for _, fam := range []ordering.Family{ordering.NewBRFamily(), ordering.NewPermutedBRFamily()} {
+		prob, err := engine.NewProblem(a, *d, nil)
 		if err != nil {
 			return err
 		}
+		prob.Family = fam
+		prob.FixedSweeps = 1
 		col := trace.NewCollector()
-		cfg := jacobi.ParallelConfig{Family: fam, Ts: 1000, Tw: 100, FixedSweeps: 1, Trace: col.Record}
-		if _, _, err := jacobi.SolveParallel(a, *d, cfg); err != nil {
+		if _, _, err := prob.Run(&engine.Emulated{Ts: 1000, Tw: 100, OnEvent: col.Record}); err != nil {
 			return err
 		}
 		sum := col.Summarize(*d)
-		fmt.Printf("\n%s ordering (busiest dimension carries %.0f%% of messages):\n", o, sum.MaxDimShare*100)
+		fmt.Printf("\n%s ordering (busiest dimension carries %.0f%% of messages):\n", fam.Name(), sum.MaxDimShare*100)
 		fmt.Print(sum.FormatDimShares())
 	}
 	return nil
@@ -101,16 +97,22 @@ func cmdSVD(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	fam, err := core.Ordering(*ord).Family()
+	fam, err := ordering.FamilyByName(*ord)
 	if err != nil {
 		return err
 	}
 	rng := rand.New(rand.NewSource(*seed))
 	a := matrix.RandomDense(*rows, *cols, rng)
-	svd, err := jacobi.SolveSVD(a, *d, fam, jacobi.Options{})
+	prob, err := engine.NewSVDProblem(a, *d)
 	if err != nil {
 		return err
 	}
+	prob.Family = fam
+	out, err := prob.RunCentral()
+	if err != nil {
+		return err
+	}
+	svd := out.SVD()
 	fmt.Printf("SVD of a random %dx%d matrix (%s ordering): %d sweeps, converged=%v\n",
 		*rows, *cols, *ord, svd.Sweeps, svd.Converged)
 	show := len(svd.Values)
@@ -119,7 +121,7 @@ func cmdSVD(args []string) error {
 	}
 	fmt.Printf("  largest singular values: %.4v\n", svd.Values[:show])
 	fmt.Printf("  reconstruction error ||A - UΣVᵀ||/||A||: %.2e\n",
-		jacobi.SVDReconstructionError(a, svd))
+		svd.ReconstructionError(a))
 	fmt.Printf("  orthogonality: U %.2e, V %.2e\n",
 		matrix.OrthogonalityError(svd.U), matrix.OrthogonalityError(svd.V))
 	return nil

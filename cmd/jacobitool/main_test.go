@@ -47,6 +47,17 @@ func TestExitCodes(t *testing.T) {
 		{"runtime error", []string{"watch"}, 1}, // missing -remote and job id
 		{"help succeeds", []string{"help"}, 0},
 		{"verify succeeds", []string{"verify", "-d", "2", "-sweeps", "1"}, 0},
+		{"solve emulated succeeds", []string{"solve", "-m", "16", "-d", "2", "-backend", "emulated"}, 0},
+		{"solve multicore succeeds", []string{"solve", "-m", "16", "-d", "2", "-backend", "multicore"}, 0},
+		{"solve analytic succeeds", []string{"solve", "-m", "16", "-d", "2", "-backend", "analytic"}, 0},
+		{"solve pipelined succeeds", []string{"solve", "-m", "16", "-d", "2", "-pipelined"}, 0},
+		{"solve unknown backend is a runtime error", []string{"solve", "-m", "16", "-backend", "lane"}, 1},
+		{"simulate succeeds", []string{"simulate", "-m", "16", "-d", "2", "-sweeps", "1"}, 0},
+		{"balance succeeds", []string{"balance", "-d", "2", "-m", "16"}, 0},
+		{"svd succeeds", []string{"svd", "-rows", "12", "-cols", "6", "-d", "1"}, 0},
+		{"sequences succeeds", []string{"sequences", "-e", "3"}, 0},
+		{"table1 succeeds", []string{"table1", "-from", "3", "-to", "5"}, 0},
+		{"figure2 succeeds", []string{"figure2", "-m", "10", "-maxd", "4"}, 0},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -6,9 +6,9 @@ import (
 	"math/rand"
 
 	"repro/internal/ccube"
-	"repro/internal/core"
 	"repro/internal/costmodel"
-	"repro/internal/jacobi"
+	"repro/internal/engine"
+	"repro/internal/machine"
 	"repro/internal/matrix"
 	"repro/internal/ordering"
 )
@@ -20,21 +20,18 @@ func cmdSequences(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	for _, o := range core.Orderings() {
-		rep, err := core.AnalyzeSequence(o, *e)
+	for _, fam := range ordering.AllFamilies() {
+		rep, err := ordering.AnalyzeSequence(fam, *e)
 		if err != nil {
 			return err
 		}
-		seq, err := o.LinkSequence(*e)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%-9s e=%d  α=%-4d (lb %d, ratio %.2f)  degree=%d  valid=%v\n",
-			o, rep.E, rep.Alpha, rep.LowerBound, rep.Ratio, rep.Degree, rep.Valid)
+		seq := fam.Phase(*e)
+		fmt.Printf("%-11s e=%d  α=%-4d (lb %d, ratio %.2f)  degree=%d  valid=%v\n",
+			fam.Name(), rep.E, rep.Alpha, rep.LowerBound, rep.Ratio, rep.Degree, rep.Valid)
 		if len(seq) <= 127 {
-			fmt.Printf("          %s\n", seq.String())
+			fmt.Printf("            %s\n", seq.String())
 		} else {
-			fmt.Printf("          (%d links)\n", len(seq))
+			fmt.Printf("            (%d links)\n", len(seq))
 		}
 	}
 	return nil
@@ -48,12 +45,12 @@ func cmdVerify(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	for _, o := range core.Orderings() {
-		if err := core.VerifyOrdering(o, *d, *sweeps); err != nil {
-			return fmt.Errorf("%s: %w", o, err)
+	for _, fam := range ordering.AllFamilies() {
+		if err := ordering.VerifyOrdering(fam, *d, *sweeps); err != nil {
+			return fmt.Errorf("%s: %w", fam.Name(), err)
 		}
-		fmt.Printf("%-9s d=%d: %d sweeps verified — every block pair exactly once per sweep, CC-cube property holds\n",
-			o, *d, *sweeps)
+		fmt.Printf("%-11s d=%d: %d sweeps verified — every block pair exactly once per sweep, CC-cube property holds\n",
+			fam.Name(), *d, *sweeps)
 	}
 	return nil
 }
@@ -67,7 +64,11 @@ func cmdPipeline(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	seq, err := core.Ordering(*ord).LinkSequence(*e)
+	fam, err := ordering.FamilyByName(*ord)
+	if err != nil {
+		return err
+	}
+	seq, err := ordering.LinkSequence(fam, *e)
 	if err != nil {
 		return err
 	}
@@ -111,55 +112,58 @@ func cmdSolve(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	rng := rand.New(rand.NewSource(*seed))
-	a := matrix.RandomSymmetric(*m, rng)
-	res, err := core.Solve(a, core.SolveOptions{
-		Dim:       *d,
-		Ordering:  core.Ordering(*ord),
-		Backend:   core.Backend(*backend),
-		Pipelined: *pipelined,
-		OnePort:   *onePort,
-	})
+	fam, err := ordering.FamilyByName(*ord)
 	if err != nil {
 		return err
 	}
+	// The paper's Figure 2 machine: Ts=1000, Tw=100, Tc=0.
+	mc := machine.Config{Ts: 1000, Tw: 100}
+	if *onePort {
+		mc.Ports = machine.OnePort
+	}
+	be, err := engine.NewBackend(*backend, mc)
+	if err != nil {
+		return err
+	}
+	rng := rand.New(rand.NewSource(*seed))
+	a := matrix.RandomSymmetric(*m, rng)
+	prob, err := engine.NewProblem(a, *d, nil)
+	if err != nil {
+		return err
+	}
+	prob.Family = fam
+	prob.Pipelined = *pipelined
+	prob.PipelineTs, prob.PipelineTw, prob.PipelinePorts = mc.Ts, mc.Tw, int(mc.Ports)
+	out, stats, err := prob.Run(be)
+	if err != nil {
+		return err
+	}
+	eig := out.Eigen()
 	fmt.Printf("solved %dx%d random symmetric matrix on %d-node hypercube (%s ordering, %s backend, pipelined=%v)\n",
 		*m, *m, 1<<uint(*d), *ord, *backend, *pipelined)
-	fmt.Printf("  sweeps: %d (converged=%v), rotations: %d\n",
-		res.Eigen.Sweeps, res.Eigen.Converged, res.Eigen.Rotations)
-	fmt.Printf("  residual max_i ||A·vᵢ-λᵢvᵢ||/||A||_F: %.2e\n",
-		matrix.EigenResidual(a, res.Eigen.Values, res.Eigen.Vectors))
+	fmt.Printf("  sweeps: %d (converged=%v), rotations: %d\n", eig.Sweeps, eig.Converged, eig.Rotations)
+	fmt.Printf("  residual max_i ||A·vᵢ-λᵢvᵢ||/||A||_F: %.2e\n", matrix.EigenResidual(a, eig.Values, eig.Vectors))
 	fmt.Printf("  modeled time: %.0f units; messages: %d; elements: %d; wall: %v\n",
-		res.Machine.Makespan, res.Machine.Messages, res.Machine.Elements, res.Machine.WallTime)
-	n := len(res.Eigen.Values)
-	show := n
-	if show > 8 {
-		show = 8
-	}
-	fmt.Printf("  smallest eigenvalues: %.5v\n", res.Eigen.Values[:show])
+		stats.Makespan, stats.Messages, stats.Elements, stats.WallTime)
+	fmt.Printf("  smallest eigenvalues: %.5v\n", eig.Values[:min(len(eig.Values), 8)])
 	return nil
 }
 
-// simulateVsAnalytic runs a fixed-sweep unpipelined solve and returns the
-// measured makespan alongside the analytic baseline cost.
-func simulateVsAnalytic(m, d, sweeps int, ord core.Ordering) (measured, analytic float64, err error) {
-	fam, err := ord.Family()
+// simulateVsAnalytic runs a fixed-sweep unpipelined solve on the emulated
+// machine and returns the measured makespan alongside the analytic
+// baseline cost.
+func simulateVsAnalytic(m, d, sweeps int, fam ordering.Family) (measured, analytic float64, err error) {
+	rng := rand.New(rand.NewSource(7))
+	prob, err := engine.NewProblem(matrix.RandomSymmetric(m, rng), d, nil)
 	if err != nil {
 		return 0, 0, err
 	}
-	rng := rand.New(rand.NewSource(7))
-	a := matrix.RandomSymmetric(m, rng)
-	cfg := jacobi.ParallelConfig{
-		Family:      fam,
-		Ts:          1000,
-		Tw:          100,
-		FixedSweeps: sweeps,
-	}
-	_, stats, err := jacobi.SolveParallel(a, d, cfg)
+	prob.Family = fam
+	prob.FixedSweeps = sweeps
+	_, stats, err := prob.Run(&engine.Emulated{Ts: 1000, Tw: 100})
 	if err != nil {
 		return 0, 0, err
 	}
 	base := costmodel.BaselineSweepCost(d, costmodel.Params{M: float64(m), Ts: 1000, Tw: 100})
-	_ = ordering.PhaseLengths(d)
 	return stats.Makespan, base * float64(sweeps), nil
 }

@@ -4,8 +4,9 @@ import (
 	"flag"
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/costmodel"
+	"repro/internal/jacobi"
+	"repro/internal/ordering"
 	"repro/internal/sequence"
 )
 
@@ -17,7 +18,7 @@ func cmdTable1(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	rows, err := core.Table1(*from, *to)
+	rows, err := ordering.Table1(*from, *to)
 	if err != nil {
 		return err
 	}
@@ -43,7 +44,7 @@ func cmdTable2(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	cells, err := core.Table2(core.Table2Config{Trials: *trials, Tol: *tol, Seed: *seed})
+	cells, err := jacobi.RunTable2(jacobi.Table2Config{Trials: *trials, Tol: *tol, Seed: *seed})
 	if err != nil {
 		return err
 	}
@@ -64,7 +65,7 @@ func cmdFigure2(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	pts, err := core.Figure2(*logM, *maxD)
+	pts, err := costmodel.Figure2Panel(*logM, *maxD)
 	if err != nil {
 		return err
 	}
@@ -85,7 +86,7 @@ func cmdFigure2(args []string) error {
 
 // plotFigure2 renders the four curves as a rough ASCII chart, cost ratio on
 // the y axis (0..1), dimension on x.
-func plotFigure2(pts []core.Figure2Point) {
+func plotFigure2(pts []costmodel.Figure2Point) {
 	const height = 20
 	grid := make([][]byte, height+1)
 	for i := range grid {
@@ -199,7 +200,11 @@ func cmdSimulate(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	measured, analytic, err := simulateVsAnalytic(*m, *d, *sweeps, core.Ordering(*ord))
+	fam, err := ordering.FamilyByName(*ord)
+	if err != nil {
+		return err
+	}
+	measured, analytic, err := simulateVsAnalytic(*m, *d, *sweeps, fam)
 	if err != nil {
 		return err
 	}
@@ -209,6 +214,5 @@ func cmdSimulate(args []string) error {
 	fmt.Printf("  analytic model:            %.0f model units\n", analytic)
 	fmt.Printf("  relative difference:       %+.2f%% (encoding headers explain the gap)\n",
 		100*(measured-analytic)/analytic)
-	_ = costmodel.Params{}
 	return nil
 }

@@ -21,8 +21,17 @@
 //     speaks /api/v2 to a `jacobitool serve` instance), with job handles
 //     exposing Wait/Cancel/Status/Result and a typed progress-event
 //     stream (queued → started → per-sweep convergence → terminal)
-//   - internal/core: the internal facade (orderings, analysis, solvers,
-//     experiment drivers)
+//   - internal/engine: the one solve API — engine.NewProblem (or
+//     NewSVDProblem) builds a Problem from a matrix, Run/RunContext/
+//     RunCentral or BatchedBackend.RunLane executes it on a backend
+//     (engine.NewBackend resolves emulated, multicore or analytic), and
+//     Outcome.Eigen/Outcome.SVD extracts the sorted factors; the CLI and
+//     the examples call it directly because client.Result carries no
+//     eigenvectors
+//   - internal/ordering: the paper's ordering families, sweep schedules,
+//     sequence reports (AnalyzeSequence, Table1) and VerifyOrdering;
+//     internal/costmodel (Figure2Panel) and internal/jacobi (the reference
+//     solvers and RunTable2) drive the other experiments
 //   - internal/service: the concurrent batch-solve service (priority job
 //     queue, per-job backend auto-selection, a byte-budgeted fingerprint
 //     result cache, per-job event fan-out, a batched solve lane that

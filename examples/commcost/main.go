@@ -10,12 +10,12 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/costmodel"
 )
 
 func main() {
 	for _, logM := range []int{18, 23, 32} {
-		pts, err := core.Figure2(logM, 15)
+		pts, err := costmodel.Figure2Panel(logM, 15)
 		if err != nil {
 			log.Fatal(err)
 		}

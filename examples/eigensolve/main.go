@@ -12,9 +12,11 @@ import (
 	"log"
 	"math"
 
-	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/jacobi"
+	"repro/internal/machine"
 	"repro/internal/matrix"
+	"repro/internal/ordering"
 )
 
 func main() {
@@ -39,57 +41,41 @@ func main() {
 	fmt.Println()
 
 	fmt.Println("distributed one-sided solves on an 8-node hypercube (d=3):")
-	fmt.Println("  ordering   sweeps  vs-exact   residual   modeled-time  messages")
-	for _, o := range core.Orderings() {
-		res, err := core.Solve(a, core.SolveOptions{Dim: 3, Ordering: o})
-		if err != nil {
-			log.Fatal(err)
-		}
-		dist := matrix.SortedEigenvalueDistance(res.Eigen.Values, exact)
-		resid := matrix.EigenResidual(a, res.Eigen.Values, res.Eigen.Vectors)
-		fmt.Printf("  %-9s  %4d    %.2e   %.2e   %12.0f  %6d\n",
-			o, res.Eigen.Sweeps, dist, resid, res.Machine.Makespan, res.Machine.Messages)
+	fmt.Println("  ordering      sweeps  vs-exact   residual   modeled-time  messages")
+	for _, fam := range ordering.AllFamilies() {
+		res, stats := solve(a, fam, "emulated", 0)
+		dist := matrix.SortedEigenvalueDistance(res.Values, exact)
+		resid := matrix.EigenResidual(a, res.Values, res.Vectors)
+		fmt.Printf("  %-11s  %4d    %.2e   %.2e   %12.0f  %6d\n",
+			fam.Name(), res.Sweeps, dist, resid, stats.Makespan, stats.Messages)
 	}
 	fmt.Println()
 
 	fmt.Println("same solve with communication pipelining (modeled time drops):")
-	fmt.Println("  ordering   plain-time    pipelined-time   speedup")
-	for _, o := range core.Orderings() {
-		plain, err := core.Solve(a, core.SolveOptions{Dim: 3, Ordering: o})
-		if err != nil {
-			log.Fatal(err)
-		}
-		piped, err := core.Solve(a, core.SolveOptions{Dim: 3, Ordering: o, Pipelined: true, PipelineQ: 2})
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("  %-9s  %10.0f     %10.0f     %.2fx\n",
-			o, plain.Machine.Makespan, piped.Machine.Makespan,
-			plain.Machine.Makespan/piped.Machine.Makespan)
+	fmt.Println("  ordering      plain-time    pipelined-time   speedup")
+	for _, fam := range ordering.AllFamilies() {
+		_, plain := solve(a, fam, "emulated", 0)
+		_, piped := solve(a, fam, "emulated", 2)
+		fmt.Printf("  %-11s  %10.0f     %10.0f     %.2fx\n",
+			fam.Name(), plain.Makespan, piped.Makespan, plain.Makespan/piped.Makespan)
 	}
 
 	fmt.Println()
 	fmt.Println("one engine, three execution backends (identical numerics):")
 	fmt.Println("  backend     sweeps   vs-exact   modeled-time   wall-clock")
-	for _, be := range core.Backends() {
-		res, err := core.Solve(a, core.SolveOptions{Dim: 3, Ordering: core.PermutedBR, Backend: be})
-		if err != nil {
-			log.Fatal(err)
-		}
-		dist := matrix.SortedEigenvalueDistance(res.Eigen.Values, exact)
+	for _, backend := range []string{"emulated", "multicore", "analytic"} {
+		res, stats := solve(a, ordering.NewPermutedBRFamily(), backend, 0)
+		dist := matrix.SortedEigenvalueDistance(res.Values, exact)
 		fmt.Printf("  %-9s   %4d     %.2e   %12.0f   %v\n",
-			be, res.Eigen.Sweeps, dist, res.Machine.Makespan, res.Machine.WallTime)
+			backend, res.Sweeps, dist, stats.Makespan, stats.WallTime)
 	}
 
 	// Show the fundamental mode: the lowest eigenvector should be a
 	// half-sine across the chain.
-	res, err := core.Solve(a, core.SolveOptions{Dim: 3, Ordering: core.Degree4})
-	if err != nil {
-		log.Fatal(err)
-	}
+	res, _ := solve(a, ordering.NewDegree4Family(), "emulated", 0)
 	fmt.Println()
-	fmt.Printf("fundamental mode (λ = %.5f, exact %.5f):\n", res.Eigen.Values[0], exact[0])
-	mode := res.Eigen.Vectors.Col(0)
+	fmt.Printf("fundamental mode (λ = %.5f, exact %.5f):\n", res.Values[0], exact[0])
+	mode := res.Vectors.Col(0)
 	scale := 1.0
 	if mode[n/2] < 0 {
 		scale = -1 // fix the sign for display
@@ -98,6 +84,28 @@ func main() {
 		bar := int(30 * math.Abs(mode[i]))
 		fmt.Printf("  mass %2d %+.3f %s\n", i, scale*mode[i], stars(bar))
 	}
+}
+
+// solve runs the eigensolve of a on an 8-node hypercube (d=3) under the
+// ordering, on the named backend of the paper's Figure 2 machine (Ts=1000,
+// Tw=100); q > 0 pipelines the exchange phases at that degree.
+func solve(a *matrix.Dense, fam ordering.Family, backend string, q int) (*engine.EigenResult, *engine.Stats) {
+	be, err := engine.NewBackend(backend, machine.Config{Ts: 1000, Tw: 100})
+	if err != nil {
+		log.Fatal(err)
+	}
+	prob, err := engine.NewProblem(a, 3, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	prob.Family = fam
+	prob.Pipelined = q > 0
+	prob.PipelineQ = q
+	out, stats, err := prob.Run(be)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return out.Eigen(), stats
 }
 
 // stiffnessChain builds the n×n tridiagonal stiffness matrix of a chain of

@@ -10,7 +10,7 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/ordering"
 	"repro/internal/sequence"
 )
 
@@ -59,13 +59,13 @@ func main() {
 	fmt.Println()
 
 	fmt.Println("== Table 1 style analysis of every ordering at e=9 ==")
-	for _, o := range core.Orderings() {
-		rep, err := core.AnalyzeSequence(o, 9)
+	for _, fam := range ordering.AllFamilies() {
+		rep, err := ordering.AnalyzeSequence(fam, 9)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("  %-9s α=%-4d (%.2fx lower bound)  degree=%d  valid=%v\n",
-			o, rep.Alpha, rep.Ratio, rep.Degree, rep.Valid)
+		fmt.Printf("  %-11s α=%-4d (%.2fx lower bound)  degree=%d  valid=%v\n",
+			fam.Name(), rep.Alpha, rep.Ratio, rep.Degree, rep.Valid)
 	}
 	fmt.Println()
 

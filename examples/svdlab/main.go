@@ -13,7 +13,7 @@ import (
 	"log"
 	"math/rand"
 
-	"repro/internal/jacobi"
+	"repro/internal/engine"
 	"repro/internal/matrix"
 	"repro/internal/ordering"
 )
@@ -44,7 +44,7 @@ func main() {
 	fmt.Printf("%dx%d matrix with planted rank-%d structure (σ = %v) + %.2f noise\n",
 		rows, cols, rank, planted, noise)
 
-	svd, err := jacobi.SolveSVD(a, 2, ordering.NewDegree4Family(), jacobi.Options{})
+	svd, err := solveSVD(a, ordering.NewDegree4Family())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func main() {
 	}
 	fmt.Println("  ... remaining values are noise-level")
 
-	fmt.Printf("\nreconstruction error: %.2e\n", jacobi.SVDReconstructionError(a, svd))
+	fmt.Printf("\nreconstruction error: %.2e\n", svd.ReconstructionError(a))
 
 	// Rank-3 truncation captures almost all of the energy.
 	total, top := 0.0, 0.0
@@ -75,7 +75,7 @@ func main() {
 	// The orderings only reorder rotations: spectra agree across them.
 	fmt.Println("\nordering invariance of the spectrum:")
 	for _, fam := range []ordering.Family{ordering.NewBRFamily(), ordering.NewPermutedBRFamily()} {
-		alt, err := jacobi.SolveSVD(a, 2, fam, jacobi.Options{})
+		alt, err := solveSVD(a, fam)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -90,6 +90,21 @@ func main() {
 		}
 		fmt.Printf("  %-12s max |Δσ| = %.2e over %d sweeps\n", fam.Name(), maxDiff, alt.Sweeps)
 	}
+}
+
+// solveSVD runs the one-sided Jacobi SVD of a with the family's ordering
+// replayed sequentially on a virtual 2-cube.
+func solveSVD(a *matrix.Dense, fam ordering.Family) (*engine.SVDResult, error) {
+	prob, err := engine.NewSVDProblem(a, 2)
+	if err != nil {
+		return nil, err
+	}
+	prob.Family = fam
+	out, err := prob.RunCentral()
+	if err != nil {
+		return nil, err
+	}
+	return out.SVD(), nil
 }
 
 func randUnit(n int, rng *rand.Rand) []float64 {

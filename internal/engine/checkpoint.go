@@ -89,7 +89,8 @@ func (c *Checkpoint) Clone() *Checkpoint {
 }
 
 // Validate checks the checkpoint's internal consistency (shape, slot
-// count, column heights) without reference to a Problem.
+// count, column heights, and column IDs that are a permutation of
+// [0, FactorRows) across all slots) without reference to a Problem.
 func (c *Checkpoint) Validate() error {
 	if c.Dim < 0 || c.Dim > 16 {
 		return fmt.Errorf("engine: checkpoint dimension %d out of range [0,16]", c.Dim)
@@ -104,6 +105,7 @@ func (c *Checkpoint) Validate() error {
 	if len(c.Slots) != want {
 		return fmt.Errorf("engine: checkpoint has %d slots for a %d-cube, want %d", len(c.Slots), c.Dim, want)
 	}
+	ncols := 0
 	for i, b := range c.Slots {
 		if b == nil {
 			return fmt.Errorf("engine: checkpoint slot %d is nil", i)
@@ -111,6 +113,7 @@ func (c *Checkpoint) Validate() error {
 		if len(b.A) != len(b.Cols) || len(b.U) != len(b.Cols) {
 			return fmt.Errorf("engine: checkpoint slot %d has %d columns but %d/%d A/U vectors", i, len(b.Cols), len(b.A), len(b.U))
 		}
+		ncols += len(b.Cols)
 		for k := range b.Cols {
 			if len(b.A[k]) != c.Rows {
 				return fmt.Errorf("engine: checkpoint slot %d column %d has height %d, want %d", i, k, len(b.A[k]), c.Rows)
@@ -118,6 +121,24 @@ func (c *Checkpoint) Validate() error {
 			if len(b.U[k]) != c.FactorRows {
 				return fmt.Errorf("engine: checkpoint slot %d factor column %d has height %d, want %d", i, k, len(b.U[k]), c.FactorRows)
 			}
+		}
+	}
+	// Gathering writes column c of the factors at index c: the IDs must
+	// name every column exactly once. The count check first bounds seen
+	// by the columns actually present.
+	if ncols != c.FactorRows {
+		return fmt.Errorf("engine: checkpoint holds %d columns, want %d", ncols, c.FactorRows)
+	}
+	seen := make([]bool, ncols)
+	for i, b := range c.Slots {
+		for _, col := range b.Cols {
+			if col < 0 || col >= ncols {
+				return fmt.Errorf("engine: checkpoint slot %d column ID %d out of range [0,%d)", i, col, ncols)
+			}
+			if seen[col] {
+				return fmt.Errorf("engine: checkpoint slot %d repeats column ID %d", i, col)
+			}
+			seen[col] = true
 		}
 	}
 	return nil

@@ -12,12 +12,12 @@ import (
 // checkpointProblem builds a fresh distributed problem for the matrix.
 func checkpointProblem(t *testing.T, a *matrix.Dense, d int, fam ordering.Family) *Problem {
 	t.Helper()
-	blocks, err := BuildBlocks(a, d)
+	prob, err := NewProblem(a, d, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tg := a.FrobeniusNorm()
-	return &Problem{Blocks: blocks, Dim: d, Family: fam, Rows: a.Rows, TraceGram: tg * tg}
+	prob.Family = fam
+	return prob
 }
 
 // captureAll runs the problem once, collecting every sweep-boundary
@@ -235,6 +235,29 @@ func TestCheckpointRejections(t *testing.T) {
 	short.Slots[0].A[0] = short.Slots[0].A[0][:4]
 	if err := wrongDim.Restore(short); err == nil {
 		t.Fatal("Restore accepted a truncated column")
+	}
+
+	// Column IDs index the gathered factors: each must name a column of
+	// the problem, exactly once across all slots.
+	for _, tc := range []struct {
+		name  string
+		alter func(ck *Checkpoint)
+	}{
+		{"out-of-range ID", func(ck *Checkpoint) { ck.Slots[0].Cols[0] = 99 }},
+		{"duplicate ID", func(ck *Checkpoint) { ck.Slots[0].Cols[0] = ck.Slots[1].Cols[0] }},
+		{"missing ID", func(ck *Checkpoint) {
+			b := ck.Slots[0]
+			b.Cols, b.A, b.U = b.Cols[1:], b.A[1:], b.U[1:]
+		}},
+	} {
+		bad := cks[0].Clone()
+		tc.alter(bad)
+		if err := bad.Validate(); err == nil {
+			t.Errorf("Validate accepted a checkpoint with this defect: %s", tc.name)
+		}
+		if err := checkpointProblem(t, a, 1, nil).Restore(bad); err == nil {
+			t.Errorf("Restore accepted a checkpoint with this defect: %s", tc.name)
+		}
 	}
 }
 

@@ -14,23 +14,14 @@ import (
 // and gathers the final factors.
 func solveWith(t *testing.T, a *matrix.Dense, d int, fam ordering.Family, fixedSweeps int, be ExecBackend, pipelined bool, q int) (*Outcome, *Stats, *matrix.Dense, *matrix.Dense) {
 	t.Helper()
-	blocks, err := BuildBlocks(a, d)
+	prob, err := NewProblem(a, d, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tg := a.FrobeniusNorm()
-	prob := &Problem{
-		Blocks:      blocks,
-		Dim:         d,
-		Family:      fam,
-		FixedSweeps: fixedSweeps,
-		Rows:        a.Rows,
-		TraceGram:   tg * tg,
-		Pipelined:   pipelined,
-		PipelineQ:   q,
-		PipelineTs:  1000,
-		PipelineTw:  100,
-	}
+	prob.Family = fam
+	prob.FixedSweeps = fixedSweeps
+	prob.Pipelined, prob.PipelineQ = pipelined, q
+	prob.PipelineTs, prob.PipelineTw = 1000, 100
 	out, stats, err := prob.Run(be)
 	if err != nil {
 		t.Fatal(err)

@@ -5,13 +5,14 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/matrix"
 )
 
 func TestBuildBlocks(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a := matrix.RandomSymmetric(10, rng)
-	blocks, err := BuildBlocks(a, 1) // 4 blocks: 3,3,2,2 columns
+	blocks, err := engine.BuildBlocks(a, 1) // 4 blocks: 3,3,2,2 columns
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func TestBuildBlocks(t *testing.T) {
 	if len(colSeen) != 10 {
 		t.Errorf("covered %d columns", len(colSeen))
 	}
-	if _, err := BuildBlocks(matrix.NewDense(3, 4), 1); err == nil {
+	if _, err := engine.BuildBlocks(matrix.NewDense(3, 4), 1); err == nil {
 		t.Error("non-square accepted")
 	}
 }
@@ -56,13 +57,13 @@ func TestBuildBlocks(t *testing.T) {
 func TestGatherInvertsBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	a := matrix.RandomSymmetric(8, rng)
-	blocks, err := BuildBlocks(a, 1)
+	blocks, err := engine.BuildBlocks(a, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	w := matrix.NewDense(8, 8)
 	u := matrix.NewDense(8, 8)
-	Gather(blocks, w, u)
+	engine.Gather(blocks, w, u)
 	if !w.Equal(a, 0) {
 		t.Error("gathered W differs from A")
 	}
@@ -74,13 +75,13 @@ func TestGatherInvertsBuild(t *testing.T) {
 func TestEncodeDecodeBlockRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := matrix.RandomSymmetric(6, rng)
-	blocks, err := BuildBlocks(a, 1)
+	blocks, err := engine.BuildBlocks(a, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, b := range blocks {
-		msg := EncodeBlock(b, 6)
-		got, err := DecodeBlock(msg, 6)
+		msg := engine.EncodeBlock(b, 6, 6)
+		got, err := engine.DecodeBlock(msg, 6, 6)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,10 +93,10 @@ func TestEncodeDecodeBlockRoundTrip(t *testing.T) {
 }
 
 func TestDecodeBlockErrors(t *testing.T) {
-	if _, err := DecodeBlock([]float64{1}, 4); err == nil {
+	if _, err := engine.DecodeBlock([]float64{1}, 4, 4); err == nil {
 		t.Error("short message accepted")
 	}
-	if _, err := DecodeBlock([]float64{0, 2, 0}, 4); err == nil {
+	if _, err := engine.DecodeBlock([]float64{0, 2, 0}, 4, 4); err == nil {
 		t.Error("truncated message accepted")
 	}
 }
@@ -104,22 +105,22 @@ func TestDecodeBlockErrors(t *testing.T) {
 func TestPairCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	a := matrix.RandomSymmetric(12, rng)
-	blocks, err := BuildBlocks(a, 1)
+	blocks, err := engine.BuildBlocks(a, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var conv ConvTracker
-	PairWithin(blocks[0], &conv) // 3 columns -> 3 pairs
+	var conv engine.ConvTracker
+	engine.PairWithin(blocks[0], &conv) // 3 columns -> 3 pairs
 	if conv.Pairs != 3 {
 		t.Errorf("PairWithin visited %d pairs, want 3", conv.Pairs)
 	}
-	conv = ConvTracker{}
-	PairCross(blocks[0], blocks[1], &conv) // 3x3
+	conv = engine.ConvTracker{}
+	engine.PairCross(blocks[0], blocks[1], &conv) // 3x3
 	if conv.Pairs != 9 {
 		t.Errorf("PairCross visited %d pairs, want 9", conv.Pairs)
 	}
-	conv = ConvTracker{}
-	PairCrossSlice(blocks[0], blocks[1], 1, 3, &conv) // 3x2
+	conv = engine.ConvTracker{}
+	engine.PairCrossSlice(blocks[0], blocks[1], 1, 3, &conv) // 3x2
 	if conv.Pairs != 6 {
 		t.Errorf("PairCrossSlice visited %d pairs, want 6", conv.Pairs)
 	}
@@ -130,18 +131,18 @@ func TestPairCounts(t *testing.T) {
 func TestPairCrossSlicePartition(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	a := matrix.RandomSymmetric(12, rng)
-	b1, err := BuildBlocks(a, 1)
+	b1, err := engine.BuildBlocks(a, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2, err := BuildBlocks(a, 1)
+	b2, err := engine.BuildBlocks(a, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var c1, c2 ConvTracker
-	PairCross(b1[0], b1[1], &c1)
+	var c1, c2 engine.ConvTracker
+	engine.PairCross(b1[0], b1[1], &c1)
 	for j := 0; j < b2[1].NumCols(); j++ {
-		PairCrossSlice(b2[0], b2[1], j, j+1, &c2)
+		engine.PairCrossSlice(b2[0], b2[1], j, j+1, &c2)
 	}
 	if !reflect.DeepEqual(b1[0].A, b2[0].A) || !reflect.DeepEqual(b1[1].A, b2[1].A) {
 		t.Error("sliced pairing diverged from full pairing")

@@ -90,10 +90,7 @@ func TestConformanceEigenMatrix(t *testing.T) {
 			// Sequential references: the central schedule replay (the block
 			// algorithm run on one node) and the ordering-independent cyclic
 			// loop.
-			ref, err := SolveSchedule(a, d, fam, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
+			ref := central(t, a, d, fam, Options{})
 			cyc, err := SolveCyclic(a, Options{})
 			if err != nil {
 				t.Fatal(err)
@@ -105,27 +102,20 @@ func TestConformanceEigenMatrix(t *testing.T) {
 			}
 
 			type flavor struct {
-				name string
-				run  func(be engine.ExecBackend) (*EigenResult, *machine.RunStats, error)
+				name    string
+				problem func() *engine.Problem
 			}
 			flavors := []flavor{
-				{"parallel", func(be engine.ExecBackend) (*EigenResult, *machine.RunStats, error) {
-					return SolveParallel(a, d, ParallelConfig{Family: fam, Ts: 1000, Tw: 100, Backend: be})
-				}},
+				{"parallel", func() *engine.Problem { return problem(t, a, d, fam, Options{}) }},
 				// Q = 1 pipelining degenerates to the unpipelined iteration
 				// order, so it stays in the bit-identical equivalence class.
-				{"pipelined-q1", func(be engine.ExecBackend) (*EigenResult, *machine.RunStats, error) {
-					return SolveParallelPipelined(a, d, ParallelConfig{Family: fam, Ts: 1000, Tw: 100, PipelineQ: 1, Backend: be})
-				}},
+				{"pipelined-q1", func() *engine.Problem { return pipelined(problem(t, a, d, fam, Options{}), 1) }},
 			}
 			for _, fl := range flavors {
 				t.Run(fl.name, func(t *testing.T) {
 					stats := map[string]*machine.RunStats{}
 					for beName, cb := range conformanceBackends() {
-						res, st, err := fl.run(cb.be)
-						if err != nil {
-							t.Fatalf("%s: %v", beName, err)
-						}
+						res, st := run(t, fl.problem(), cb.be)
 						label := fmt.Sprintf("%s/%s", fl.name, beName)
 						if cb.exact {
 							valuesBitIdentical(t, label, res.Values, ref.Values)
@@ -193,16 +183,22 @@ func TestConformanceSVDMatrix(t *testing.T) {
 	a := matrix.RandomDense(rows, cols, rng)
 	fam := ordering.NewPermutedBRFamily()
 
-	ref, err := SolveSVD(a, d, fam, Options{})
+	ref, err := solveSVD(t, a, d, fam, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	stats := map[string]*machine.RunStats{}
 	for beName, cb := range conformanceBackends() {
-		res, st, err := SolveSVDParallel(a, d, ParallelConfig{Family: fam, Ts: 1000, Tw: 100, Backend: cb.be})
+		p, err := engine.NewSVDProblem(a, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Family = fam
+		out, st, err := p.Run(cb.be)
 		if err != nil {
 			t.Fatalf("%s: %v", beName, err)
 		}
+		res := out.SVD()
 		label := "svd/" + beName
 		if cb.exact {
 			valuesBitIdentical(t, label, res.Values, ref.Values)
@@ -214,7 +210,7 @@ func TestConformanceSVDMatrix(t *testing.T) {
 		} else {
 			valuesClose(t, label, res.Values, ref.Values)
 		}
-		if rec := SVDReconstructionError(a, res); rec > 1e-10 {
+		if rec := res.ReconstructionError(a); rec > 1e-10 {
 			t.Errorf("%s: reconstruction error %.2e", label, rec)
 		}
 	}
@@ -232,10 +228,9 @@ func TestConformanceFixedSweepCounts(t *testing.T) {
 	fam := ordering.NewBRFamily()
 	var wantRot int
 	for beName, cb := range conformanceBackends() {
-		res, _, err := SolveParallel(a, d, ParallelConfig{Family: fam, Ts: 1000, Tw: 100, FixedSweeps: sweeps, Backend: cb.be})
-		if err != nil {
-			t.Fatalf("%s: %v", beName, err)
-		}
+		p := problem(t, a, d, fam, Options{})
+		p.FixedSweeps = sweeps
+		res, _ := run(t, p, cb.be)
 		if res.Sweeps != sweeps {
 			t.Errorf("%s: ran %d sweeps, want %d", beName, res.Sweeps, sweeps)
 		}
@@ -266,17 +261,9 @@ func TestConformanceAnalyticModel(t *testing.T) {
 		t.Run(fmt.Sprintf("n=%d_d=%d_s=%d", tc.n, tc.d, tc.sweeps), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(tc.n*100 + tc.d)))
 			a := matrix.RandomSymmetric(tc.n, rng)
-			cfg := ParallelConfig{
-				Family:      ordering.NewBRFamily(),
-				Ts:          1000,
-				Tw:          100,
-				FixedSweeps: tc.sweeps,
-				Backend:     &engine.Analytic{Ts: 1000, Tw: 100},
-			}
-			_, stats, err := SolveParallel(a, tc.d, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			p := problem(t, a, tc.d, ordering.NewBRFamily(), Options{})
+			p.FixedSweeps = tc.sweeps
+			_, stats := run(t, p, &engine.Analytic{Ts: 1000, Tw: 100})
 			want := float64(tc.sweeps) * costmodel.BaselineSweepCost(tc.d, costmodel.Params{M: float64(tc.n), Ts: 1000, Tw: 100})
 			if rel := math.Abs(stats.Makespan-want) / want; rel > 1e-9 {
 				t.Errorf("analytic makespan %.3f vs closed form %.3f (rel %.2e)", stats.Makespan, want, rel)

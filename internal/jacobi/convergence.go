@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"repro/internal/bitutil"
+	"repro/internal/engine"
 	"repro/internal/matrix"
 	"repro/internal/ordering"
 )
@@ -82,7 +83,7 @@ func RunTable2(cfg Table2Config) ([]Table2Cell, error) {
 			for _, fam := range cfg.Families {
 				total := 0
 				for _, a := range mats {
-					res, err := SolveSchedule(a, d, fam, Options{Tol: cfg.Tol, MaxSweeps: cfg.MaxSweeps, Criterion: OffFrobCriterion})
+					res, err := table2Solve(a, d, fam, Options{Tol: cfg.Tol, MaxSweeps: cfg.MaxSweeps, Criterion: OffFrobCriterion})
 					if err != nil {
 						return nil, fmt.Errorf("jacobi: table2 m=%d d=%d %s: %w", m, d, fam.Name(), err)
 					}
@@ -97,4 +98,16 @@ func RunTable2(cfg Table2Config) ([]Table2Cell, error) {
 		}
 	}
 	return cells, nil
+}
+
+// table2Solve replays one Table 2 solve on the engine's central schedule
+// replay, the sequential reference of the distributed backends.
+func table2Solve(a *matrix.Dense, d int, fam ordering.Family, opts Options) (*engine.Outcome, error) {
+	prob, err := engine.NewProblem(a, d, nil)
+	if err != nil {
+		return nil, err
+	}
+	prob.Family = fam
+	prob.Opts = opts
+	return prob.RunCentral()
 }

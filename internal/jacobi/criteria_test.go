@@ -15,19 +15,12 @@ import (
 func TestSolveParallelOffFrobCriterion(t *testing.T) {
 	rng := rand.New(rand.NewSource(401))
 	a := matrix.RandomSymmetric(24, rng)
-	cfg := parCfg(ordering.NewBRFamily())
-	cfg.Options = Options{Tol: 3.5e-4, Criterion: OffFrobCriterion}
-	par, _, err := SolveParallel(a, 2, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	opts := Options{Tol: 3.5e-4, Criterion: OffFrobCriterion}
+	par, _ := run(t, problem(t, a, 2, ordering.NewBRFamily(), opts), figure2())
 	if !par.Converged {
 		t.Fatal("no convergence")
 	}
-	seq, err := SolveSchedule(a, 2, ordering.NewBRFamily(), Options{Tol: 3.5e-4, Criterion: OffFrobCriterion})
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq := central(t, a, 2, ordering.NewBRFamily(), opts)
 	if par.Sweeps != seq.Sweeps {
 		t.Errorf("sweeps differ: parallel %d vs sequential %d", par.Sweeps, seq.Sweeps)
 	}
@@ -65,13 +58,8 @@ func TestCriteriaOrdering(t *testing.T) {
 func TestPipelinedOffFrobCriterion(t *testing.T) {
 	rng := rand.New(rand.NewSource(407))
 	a := matrix.RandomSymmetric(16, rng)
-	cfg := parCfg(ordering.NewDegree4Family())
-	cfg.Options = Options{Tol: 3.5e-4, Criterion: OffFrobCriterion}
-	cfg.PipelineQ = 2
-	res, _, err := SolveParallelPipelined(a, 2, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := pipelined(problem(t, a, 2, ordering.NewDegree4Family(), Options{Tol: 3.5e-4, Criterion: OffFrobCriterion}), 2)
+	res, _ := run(t, p, figure2())
 	if !res.Converged {
 		t.Fatal("no convergence")
 	}
@@ -99,6 +87,25 @@ func TestTable2Deterministic(t *testing.T) {
 		for k, v := range a[i].Sweeps {
 			if b[i].Sweeps[k] != v {
 				t.Fatalf("cell %d family %s not deterministic", i, k)
+			}
+		}
+	}
+}
+
+// A reduced Table 2 (m = 8 on P = 2 and 4, three trials) lands in the
+// paper's sweep band.
+func TestTable2Small(t *testing.T) {
+	cells, err := RunTable2(Table2Config{Sizes: []int{8}, Trials: 3, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cells) != 2 { // P = 2, 4
+		t.Fatalf("cells = %d", len(cells))
+	}
+	for _, c := range cells {
+		for fam, sweeps := range c.Sweeps {
+			if sweeps < 2 || sweeps > 12 {
+				t.Errorf("m=%d P=%d %s: %g sweeps", c.M, c.P, fam, sweeps)
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/matrix"
 	"repro/internal/ordering"
 )
@@ -16,21 +17,18 @@ func TestSolveLaneReferenceBitIdentical(t *testing.T) {
 	const d, n, K = 2, 24, 4
 	rng := rand.New(rand.NewSource(71))
 	fam := ordering.NewBRFamily()
-	reqs := make([]*LaneRequest, K)
+	jobs := make([]*engine.LaneJob, K)
 	inputs := make([]*matrix.Dense, K)
 	for k := 0; k < K; k++ {
 		inputs[k] = matrix.RandomSymmetric(n, rng)
-		reqs[k] = &LaneRequest{A: inputs[k]}
+		jobs[k] = laneJob(t, inputs[k], d, Options{})
 	}
-	got, err := SolveLane(d, fam, true, reqs)
+	got, err := runLane(d, fam, true, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for k := 0; k < K; k++ {
-		want, err := SolveSchedule(inputs[k], d, fam, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := central(t, inputs[k], d, fam, Options{})
 		if got[k].Sweeps != want.Sweeps || got[k].Rotations != want.Rotations ||
 			got[k].Converged != want.Converged {
 			t.Errorf("job %d: (%d sweeps, %d rot, conv %v) vs schedule (%d, %d, %v)",
@@ -60,13 +58,13 @@ func TestSolveLaneFusedEigenAccuracy(t *testing.T) {
 	const d, n, K = 2, 32, 6
 	rng := rand.New(rand.NewSource(72))
 	fam := ordering.NewBRFamily()
-	reqs := make([]*LaneRequest, K)
+	jobs := make([]*engine.LaneJob, K)
 	inputs := make([]*matrix.Dense, K)
 	for k := 0; k < K; k++ {
 		inputs[k] = matrix.RandomSymmetric(n, rng)
-		reqs[k] = &LaneRequest{A: inputs[k]}
+		jobs[k] = laneJob(t, inputs[k], d, Options{})
 	}
-	got, err := SolveLane(d, fam, false, reqs)
+	got, err := runLane(d, fam, false, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,10 +72,7 @@ func TestSolveLaneFusedEigenAccuracy(t *testing.T) {
 		if !got[k].Converged {
 			t.Errorf("job %d did not converge", k)
 		}
-		want, err := SolveSchedule(inputs[k], d, fam, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := central(t, inputs[k], d, fam, Options{})
 		for i := range want.Values {
 			if d := math.Abs(got[k].Values[i] - want.Values[i]); d > 1e-8 {
 				t.Errorf("job %d eigenvalue %d drift %g", k, i, d)
@@ -105,12 +100,13 @@ func TestSolveLaneFusedEigenAccuracy(t *testing.T) {
 func TestSolveLaneMixedOptions(t *testing.T) {
 	const d, n = 2, 16
 	rng := rand.New(rand.NewSource(73))
-	reqs := []*LaneRequest{
-		{A: matrix.RandomSymmetric(n, rng), Options: Options{Tol: 1e-13, MaxSweeps: 2}},
-		{A: matrix.RandomSymmetric(n, rng)},
-		{A: matrix.RandomSymmetric(n, rng), FixedSweeps: 3},
+	jobs := []*engine.LaneJob{
+		laneJob(t, matrix.RandomSymmetric(n, rng), d, Options{Tol: 1e-13, MaxSweeps: 2}),
+		laneJob(t, matrix.RandomSymmetric(n, rng), d, Options{}),
+		laneJob(t, matrix.RandomSymmetric(n, rng), d, Options{}),
 	}
-	got, err := SolveLane(d, nil, false, reqs)
+	jobs[2].FixedSweeps = 3
+	got, err := runLane(d, nil, false, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,11 +125,33 @@ func TestSolveLaneMixedOptions(t *testing.T) {
 // not a panic.
 func TestSolveLaneRejectsMixedShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(74))
-	reqs := []*LaneRequest{
-		{A: matrix.RandomSymmetric(16, rng)},
-		{A: matrix.RandomSymmetric(24, rng)},
+	jobs := []*engine.LaneJob{
+		laneJob(t, matrix.RandomSymmetric(16, rng), 2, Options{}),
+		laneJob(t, matrix.RandomSymmetric(24, rng), 2, Options{}),
 	}
-	if _, err := SolveLane(2, nil, false, reqs); err == nil {
+	if _, err := runLane(2, nil, false, jobs); err == nil {
 		t.Error("mixed-shape lane accepted")
 	}
+}
+
+// laneJob builds a lane member for the eigensolve of a on a d-cube, with
+// the blocks, height and trace normalizer of engine.NewProblem.
+func laneJob(t *testing.T, a *matrix.Dense, d int, opts Options) *engine.LaneJob {
+	t.Helper()
+	p := problem(t, a, d, nil, opts)
+	return &engine.LaneJob{Blocks: p.Blocks, Opts: opts, Rows: p.Rows, TraceGram: p.TraceGram}
+}
+
+// runLane solves the jobs together on the batched lane (reference or fused
+// kernels) and extracts each job's eigenpairs.
+func runLane(d int, fam ordering.Family, reference bool, jobs []*engine.LaneJob) ([]*engine.EigenResult, error) {
+	outs, err := (&engine.BatchedBackend{ReferenceKernels: reference}).RunLane(d, fam, jobs)
+	if err != nil {
+		return nil, err
+	}
+	res := make([]*engine.EigenResult, len(outs))
+	for i, out := range outs {
+		res[i] = out.Eigen()
+	}
+	return res, nil
 }

@@ -4,18 +4,11 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/machine"
 	"repro/internal/matrix"
 	"repro/internal/ordering"
 )
-
-func parCfg(fam ordering.Family) ParallelConfig {
-	return ParallelConfig{
-		Family: fam,
-		Ts:     1000,
-		Tw:     100,
-	}
-}
 
 // The distributed solver must produce results bit-identical to the
 // schedule-driven sequential replay: the same rotations in the same global
@@ -29,14 +22,8 @@ func TestSolveParallelBitIdenticalToSchedule(t *testing.T) {
 	for _, c := range cases {
 		a := matrix.RandomSymmetric(c.m, rng)
 		for _, fam := range []ordering.Family{ordering.NewBRFamily(), ordering.NewDegree4Family()} {
-			ref, err := SolveSchedule(a, c.d, fam, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, _, err := SolveParallel(a, c.d, parCfg(fam))
-			if err != nil {
-				t.Fatalf("m=%d d=%d %s: %v", c.m, c.d, fam.Name(), err)
-			}
+			ref := central(t, a, c.d, fam, Options{})
+			got, _ := run(t, problem(t, a, c.d, fam, Options{}), figure2())
 			if got.Sweeps != ref.Sweeps {
 				t.Errorf("m=%d d=%d %s: sweeps %d vs %d", c.m, c.d, fam.Name(), got.Sweeps, ref.Sweeps)
 			}
@@ -56,10 +43,7 @@ func TestSolveParallelBitIdenticalToSchedule(t *testing.T) {
 func TestSolveParallelResidualAndOrthogonality(t *testing.T) {
 	rng := rand.New(rand.NewSource(103))
 	a := matrix.RandomSymmetric(24, rng)
-	res, stats, err := SolveParallel(a, 2, parCfg(ordering.NewPermutedBRFamily()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, stats := run(t, problem(t, a, 2, ordering.NewPermutedBRFamily(), Options{}), figure2())
 	if !res.Converged {
 		t.Fatal("no convergence")
 	}
@@ -83,12 +67,9 @@ func TestSolveParallelFixedSweeps(t *testing.T) {
 	rng := rand.New(rand.NewSource(107))
 	a := matrix.RandomSymmetric(16, rng)
 	d := 2
-	cfg := parCfg(ordering.NewBRFamily())
-	cfg.FixedSweeps = 3
-	res, stats, err := SolveParallel(a, d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := problem(t, a, d, ordering.NewBRFamily(), Options{})
+	p.FixedSweeps = 3
+	res, stats := run(t, p, figure2())
 	if res.Sweeps != 3 {
 		t.Errorf("sweeps = %d, want 3", res.Sweeps)
 	}
@@ -107,12 +88,9 @@ func TestSolveParallelMakespanMatchesAnalyticBaseline(t *testing.T) {
 	rng := rand.New(rand.NewSource(109))
 	for _, c := range []struct{ m, d int }{{16, 1}, {16, 2}, {32, 2}, {32, 3}} {
 		a := matrix.RandomSymmetric(c.m, rng)
-		cfg := parCfg(ordering.NewBRFamily())
-		cfg.FixedSweeps = 2
-		_, stats, err := SolveParallel(a, c.d, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := problem(t, a, c.d, ordering.NewBRFamily(), Options{})
+		p.FixedSweeps = 2
+		_, stats := run(t, p, figure2())
 		// Analytic: transitions * (Ts + S*Tw) per sweep, S = 2*(m/2^(d+1))*m.
 		nb := float64(int(2) << uint(c.d))
 		s := 2.0 * float64(c.m) / nb * float64(c.m)
@@ -130,10 +108,7 @@ func TestSolveParallelMakespanMatchesAnalyticBaseline(t *testing.T) {
 func TestSolveParallelUnevenBlocks(t *testing.T) {
 	rng := rand.New(rand.NewSource(113))
 	a := matrix.RandomSymmetric(13, rng)
-	res, _, err := SolveParallel(a, 2, parCfg(ordering.NewBRFamily()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, _ := run(t, problem(t, a, 2, ordering.NewBRFamily(), Options{}), figure2())
 	ref, err := SolveCyclic(a, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -148,20 +123,14 @@ func TestSolveParallelUnevenBlocks(t *testing.T) {
 func TestSolveParallelPortModelCost(t *testing.T) {
 	rng := rand.New(rand.NewSource(127))
 	a := matrix.RandomSymmetric(16, rng)
-	cfgAll := parCfg(ordering.NewDegree4Family())
-	cfgAll.FixedSweeps = 2
-	cfgAll.PipelineQ = 2
-	cfgOne := cfgAll
-	cfgOne.Ports = machine.OnePort
-
-	resAll, statsAll, err := SolveParallelPipelined(a, 2, cfgAll)
-	if err != nil {
-		t.Fatal(err)
+	solve := func(ports machine.PortModel) (*engine.EigenResult, *engine.Stats) {
+		p := pipelined(problem(t, a, 2, ordering.NewDegree4Family(), Options{}), 2)
+		p.FixedSweeps = 2
+		p.PipelinePorts = int(ports)
+		return run(t, p, &engine.Emulated{Ports: ports, Ts: 1000, Tw: 100})
 	}
-	resOne, statsOne, err := SolveParallelPipelined(a, 2, cfgOne)
-	if err != nil {
-		t.Fatal(err)
-	}
+	resAll, statsAll := solve(machine.AllPort)
+	resOne, statsOne := solve(machine.OnePort)
 	if statsOne.Makespan <= statsAll.Makespan {
 		t.Errorf("one-port makespan %g should exceed all-port %g", statsOne.Makespan, statsAll.Makespan)
 	}

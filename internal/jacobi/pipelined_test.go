@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/matrix"
 	"repro/internal/ordering"
 )
@@ -17,17 +18,8 @@ func TestPipelinedQ1BitIdentical(t *testing.T) {
 	for _, c := range cases {
 		a := matrix.RandomSymmetric(c.m, rng)
 		for _, fam := range []ordering.Family{ordering.NewBRFamily(), ordering.NewPermutedBRFamily()} {
-			cfg := parCfg(fam)
-			ref, _, err := SolveParallel(a, c.d, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfgQ1 := cfg
-			cfgQ1.PipelineQ = 1
-			got, _, err := SolveParallelPipelined(a, c.d, cfgQ1)
-			if err != nil {
-				t.Fatalf("m=%d d=%d %s: %v", c.m, c.d, fam.Name(), err)
-			}
+			ref, _ := run(t, problem(t, a, c.d, fam, Options{}), figure2())
+			got, _ := run(t, pipelined(problem(t, a, c.d, fam, Options{}), 1), figure2())
 			if got.Sweeps != ref.Sweeps {
 				t.Errorf("m=%d d=%d %s: sweeps %d vs %d", c.m, c.d, fam.Name(), got.Sweeps, ref.Sweeps)
 			}
@@ -56,12 +48,7 @@ func TestPipelinedQ2Spectrum(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, fam := range ordering.AllFamilies() {
-			cfg := parCfg(fam)
-			cfg.PipelineQ = c.q
-			got, _, err := SolveParallelPipelined(a, c.d, cfg)
-			if err != nil {
-				t.Fatalf("m=%d d=%d q=%d %s: %v", c.m, c.d, c.q, fam.Name(), err)
-			}
+			got, _ := run(t, pipelined(problem(t, a, c.d, fam, Options{}), c.q), figure2())
 			if !got.Converged {
 				t.Fatalf("m=%d d=%d q=%d %s: no convergence", c.m, c.d, c.q, fam.Name())
 			}
@@ -80,11 +67,7 @@ func TestPipelinedQ2Spectrum(t *testing.T) {
 func TestPipelinedAutoQ(t *testing.T) {
 	rng := rand.New(rand.NewSource(207))
 	a := matrix.RandomSymmetric(32, rng)
-	cfg := parCfg(ordering.NewPermutedBRFamily())
-	res, _, err := SolveParallelPipelined(a, 2, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, _ := run(t, pipelined(problem(t, a, 2, ordering.NewPermutedBRFamily(), Options{}), 0), figure2())
 	if !res.Converged {
 		t.Fatal("no convergence")
 	}
@@ -101,17 +84,12 @@ func TestPipelinedMakespanBeatsUnpipelined(t *testing.T) {
 	rng := rand.New(rand.NewSource(211))
 	a := matrix.RandomSymmetric(64, rng)
 	d := 2
-	cfg := parCfg(ordering.NewDegree4Family())
-	cfg.FixedSweeps = 2
-	_, statsUnpiped, err := SolveParallel(a, d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.PipelineQ = 3
-	_, statsPiped, err := SolveParallelPipelined(a, d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := problem(t, a, d, ordering.NewDegree4Family(), Options{})
+	plain.FixedSweeps = 2
+	_, statsUnpiped := run(t, plain, figure2())
+	piped := pipelined(problem(t, a, d, ordering.NewDegree4Family(), Options{}), 3)
+	piped.FixedSweeps = 2
+	_, statsPiped := run(t, piped, figure2())
 	if statsPiped.Makespan >= statsUnpiped.Makespan {
 		t.Errorf("pipelined makespan %g did not beat unpipelined %g",
 			statsPiped.Makespan, statsUnpiped.Makespan)
@@ -123,12 +101,8 @@ func TestPipelinedMakespanBeatsUnpipelined(t *testing.T) {
 func TestPipelinedOversizedQ(t *testing.T) {
 	rng := rand.New(rand.NewSource(213))
 	a := matrix.RandomSymmetric(8, rng) // blocks of 1 column at d=2
-	cfg := parCfg(ordering.NewBRFamily())
-	cfg.PipelineQ = 5 // will be capped to min block size = 1
-	res, _, err := SolveParallelPipelined(a, 2, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Q = 5 will be capped to the minimum block size, 1.
+	res, _ := run(t, pipelined(problem(t, a, 2, ordering.NewBRFamily(), Options{}), 5), figure2())
 	ref, err := SolveCyclic(a, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +113,7 @@ func TestPipelinedOversizedQ(t *testing.T) {
 }
 
 func TestPipelinedRejectsNonSquare(t *testing.T) {
-	if _, _, err := SolveParallelPipelined(matrix.NewDense(2, 3), 1, parCfg(nil)); err == nil {
+	if _, err := engine.NewProblem(matrix.NewDense(2, 3), 1, nil); err == nil {
 		t.Error("non-square accepted")
 	}
 }
@@ -147,13 +121,13 @@ func TestPipelinedRejectsNonSquare(t *testing.T) {
 func TestSplitAssembleRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(217))
 	a := matrix.RandomSymmetric(10, rng)
-	blocks, err := BuildBlocks(a, 0)
+	blocks, err := engine.BuildBlocks(a, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := blocks[0] // 5 columns
 	for q := 1; q <= 7; q++ {
-		slices := SplitBlock(b, q)
+		slices := engine.SplitBlock(b, q)
 		if len(slices) != q {
 			t.Fatalf("q=%d: %d slices", q, len(slices))
 		}
@@ -164,7 +138,7 @@ func TestSplitAssembleRoundTrip(t *testing.T) {
 		if total != b.NumCols() {
 			t.Fatalf("q=%d: slices cover %d columns", q, total)
 		}
-		re := AssembleBlock(slices)
+		re := engine.AssembleBlock(slices)
 		if re.NumCols() != b.NumCols() || re.ID != b.ID {
 			t.Fatalf("q=%d: assembled %d cols id %d", q, re.NumCols(), re.ID)
 		}
@@ -180,12 +154,12 @@ func TestSplitAssembleRoundTrip(t *testing.T) {
 func TestSplitBlockShares(t *testing.T) {
 	rng := rand.New(rand.NewSource(219))
 	a := matrix.RandomSymmetric(6, rng)
-	blocks, err := BuildBlocks(a, 0)
+	blocks, err := engine.BuildBlocks(a, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := blocks[0]
-	slices := SplitBlock(b, 3)
+	slices := engine.SplitBlock(b, 3)
 	slices[0].A[0][0] = 42
 	if b.A[0][0] != 42 {
 		t.Error("SplitBlock copied instead of sharing")
@@ -195,12 +169,12 @@ func TestSplitBlockShares(t *testing.T) {
 func TestEncodeDecodeBlocksRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(223))
 	a := matrix.RandomSymmetric(6, rng)
-	blocks, err := BuildBlocks(a, 1)
+	blocks, err := engine.BuildBlocks(a, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	msg := EncodeBlocks(blocks[:3], 6)
-	got, err := DecodeBlocks(msg, 6)
+	msg := engine.EncodeBlocks(blocks[:3], 6, 6)
+	got, err := engine.DecodeBlocks(msg, 6, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,10 +186,10 @@ func TestEncodeDecodeBlocksRoundTrip(t *testing.T) {
 			t.Errorf("block %d mismatched", i)
 		}
 	}
-	if _, err := DecodeBlocks(nil, 6); err == nil {
+	if _, err := engine.DecodeBlocks(nil, 6, 6); err == nil {
 		t.Error("empty message accepted")
 	}
-	if _, err := DecodeBlocks(append(msg, 1), 6); err == nil {
+	if _, err := engine.DecodeBlocks(append(msg, 1), 6, 6); err == nil {
 		t.Error("trailing garbage accepted")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/engine"
 	"repro/internal/matrix"
 )
 
@@ -24,7 +25,7 @@ func TestComputeRotationOrthogonalizes(t *testing.T) {
 		alpha := matrix.Dot(x, x)
 		beta := matrix.Dot(y, y)
 		gamma := matrix.Dot(x, y)
-		r := ComputeRotation(alpha, beta, gamma)
+		r := engine.ComputeRotation(alpha, beta, gamma)
 		r.Apply(x, y)
 		if g := math.Abs(matrix.Dot(x, y)); g > 1e-10*(alpha+beta) {
 			t.Fatalf("trial %d: residual inner product %g", trial, g)
@@ -44,7 +45,7 @@ func TestRotationPreservesEnergy(t *testing.T) {
 		a := math.Mod(math.Abs(ra), 1e6)
 		b := math.Mod(math.Abs(rb), 1e6)
 		g := math.Mod(rg, 1.0) * math.Sqrt(a*b)
-		r := ComputeRotation(a, b, g)
+		r := engine.ComputeRotation(a, b, g)
 		return math.Abs(r.C*r.C+r.S*r.S-1) < 1e-12
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -55,7 +56,7 @@ func TestRotationPreservesEnergy(t *testing.T) {
 	x := []float64{1, 2, 3}
 	y := []float64{-1, 0.5, 2}
 	before := matrix.Dot(x, x) + matrix.Dot(y, y)
-	r := ComputeRotation(matrix.Dot(x, x), matrix.Dot(y, y), matrix.Dot(x, y))
+	r := engine.ComputeRotation(matrix.Dot(x, x), matrix.Dot(y, y), matrix.Dot(x, y))
 	r.Apply(x, y)
 	after := matrix.Dot(x, x) + matrix.Dot(y, y)
 	if math.Abs(before-after) > 1e-12*before {
@@ -65,7 +66,7 @@ func TestRotationPreservesEnergy(t *testing.T) {
 }
 
 func TestComputeRotationZeroGamma(t *testing.T) {
-	r := ComputeRotation(2, 3, 0)
+	r := engine.ComputeRotation(2, 3, 0)
 	if r.C != 1 || r.S != 0 {
 		t.Errorf("zero gamma should give identity rotation, got %+v", r)
 	}
@@ -82,7 +83,7 @@ func TestComputeRotationSmallAngle(t *testing.T) {
 		if g == 0 {
 			continue
 		}
-		r := ComputeRotation(a, b, g)
+		r := engine.ComputeRotation(a, b, g)
 		if math.Abs(r.S) > r.C+1e-15 {
 			t.Fatalf("|s| > c: %+v for (%g,%g,%g)", r, a, b, g)
 		}
@@ -90,12 +91,12 @@ func TestComputeRotationSmallAngle(t *testing.T) {
 }
 
 func TestRotatePairSkipsTiny(t *testing.T) {
-	var conv ConvTracker
+	var conv engine.ConvTracker
 	x := []float64{1, 0}
 	y := []float64{0, 1}
 	ux := []float64{1, 0}
 	uy := []float64{0, 1}
-	RotatePair(x, y, ux, uy, &conv)
+	engine.RotatePair(x, y, ux, uy, &conv)
 	if conv.Rotations != 0 {
 		t.Error("orthogonal pair should not rotate")
 	}
@@ -108,8 +109,8 @@ func TestRotatePairSkipsTiny(t *testing.T) {
 }
 
 func TestConvTrackerMerge(t *testing.T) {
-	a := ConvTracker{MaxRel: 0.5, Rotations: 3, Pairs: 10}
-	b := ConvTracker{MaxRel: 0.7, Rotations: 2, Pairs: 5}
+	a := engine.ConvTracker{MaxRel: 0.5, Rotations: 3, Pairs: 10}
+	b := engine.ConvTracker{MaxRel: 0.7, Rotations: 2, Pairs: 5}
 	a.Merge(b)
 	if a.MaxRel != 0.7 || a.Rotations != 5 || a.Pairs != 15 {
 		t.Errorf("merge result %+v", a)
@@ -118,12 +119,12 @@ func TestConvTrackerMerge(t *testing.T) {
 
 // RotatePair on a zero column: denominator zero, must not NaN or rotate.
 func TestRotatePairZeroColumn(t *testing.T) {
-	var conv ConvTracker
+	var conv engine.ConvTracker
 	x := []float64{0, 0}
 	y := []float64{1, 2}
 	ux := []float64{1, 0}
 	uy := []float64{0, 1}
-	RotatePair(x, y, ux, uy, &conv)
+	engine.RotatePair(x, y, ux, uy, &conv)
 	if conv.Rotations != 0 {
 		t.Error("zero column should not rotate")
 	}

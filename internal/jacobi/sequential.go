@@ -1,13 +1,31 @@
+// Package jacobi holds the reference solvers the engine's results are
+// compared against, and the paper's Table 2 experiment:
+//
+//   - SolveCyclic, the classic row-cyclic one-sided Jacobi method (Eberlein
+//     [5] in the paper): the ordering-independent sequential baseline;
+//   - SolveTwoSided, the classic cyclic two-sided method, which shares no
+//     rotation kernel or data layout with the one-sided solvers;
+//   - RunTable2, the convergence experiment of the paper's Table 2, run on
+//     the engine's central schedule replay.
+//
+// Every ordering-driven solve — sequential replay, distributed, pipelined,
+// batched lane or SVD — is an engine.Problem (internal/engine): build it
+// with engine.NewProblem or engine.NewSVDProblem, run it, and extract the
+// factors with Outcome.Eigen or Outcome.SVD.
+//
+// The one-sided method works on two matrices: W (initialized to the
+// symmetric input A) and U (initialized to I). Each step applies a plane
+// rotation to a pair of columns of both so that the columns of W become
+// orthogonal; at convergence W = A·U has orthogonal columns and, since U's
+// columns are then eigenvectors of A² (= eigenvectors of A away from ±λ
+// degeneracy), the eigenvalues are recovered as λᵢ = uᵢᵀwᵢ = uᵢᵀA·uᵢ.
 package jacobi
 
 import (
 	"fmt"
-	"math"
-	"sort"
 
 	"repro/internal/engine"
 	"repro/internal/matrix"
-	"repro/internal/ordering"
 )
 
 // Criterion selects the sweep convergence test; see engine.Criterion.
@@ -25,130 +43,23 @@ const (
 // Options configures a solve; see engine.Options.
 type Options = engine.Options
 
-// EigenResult is the outcome of a solve.
-type EigenResult struct {
-	// Values are the eigenvalues in ascending order.
-	Values []float64
-	// Vectors holds the corresponding eigenvectors as columns.
-	Vectors *matrix.Dense
-	// Sweeps is the number of sweeps executed.
-	Sweeps int
-	// Converged reports whether Tol was reached within MaxSweeps.
-	Converged bool
-	// Interrupted reports that the solve was stopped early at a sweep
-	// boundary by an Interrupt hook (e.g. a canceled job context).
-	Interrupted bool
-	// FinalMaxRel is the largest relative off-diagonal value of the final
-	// sweep.
-	FinalMaxRel float64
-	// Rotations is the total number of rotations applied.
-	Rotations int
-}
-
-// traceGram returns trace(AᵀA) = ‖A‖²_F, the rotation-invariant normalizer
-// of the OffFrob criterion.
-func traceGram(a *matrix.Dense) float64 {
-	t := a.FrobeniusNorm()
-	return t * t
-}
-
 // SolveCyclic runs the classic row-cyclic one-sided Jacobi method: each
 // sweep visits all column pairs (i, j), i < j, in lexicographic order. It is
 // the ordering-independent sequential baseline.
-func SolveCyclic(a *matrix.Dense, opts Options) (*EigenResult, error) {
+func SolveCyclic(a *matrix.Dense, opts Options) (*engine.EigenResult, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("jacobi: matrix is %dx%d, want square", a.Rows, a.Cols)
 	}
 	m := a.Rows
-	w := a.Clone()
-	u := matrix.Identity(m)
-	wCols := make([][]float64, m)
-	uCols := make([][]float64, m)
-	for i := 0; i < m; i++ {
-		wCols[i] = w.Col(i)
-		uCols[i] = u.Col(i)
+	all := &engine.Block{Cols: make([]int, m), A: make([][]float64, m), U: make([][]float64, m)}
+	for i := range all.Cols {
+		all.Cols[i] = i
+		all.A[i] = append([]float64(nil), a.Col(i)...)
+		all.U[i] = make([]float64, m)
+		all.U[i][i] = 1
 	}
-	out := engine.RunCyclic(wCols, uCols, opts, traceGram(a))
-	res := eigenFromOutcome(out)
-	finishEigen(a, w, u, res)
-	return res, nil
-}
-
-// SolveSchedule runs the one-sided Jacobi method following the exact
-// rotation order of the given parallel Jacobi ordering on a d-cube, executed
-// sequentially: per sweep, first the intra-block pairings of every block,
-// then the 2^(d+1)-1 steps, pairing the co-resident blocks of each node in
-// node order (the engine's central replay). The distributed solver performs
-// the same rotations (disjoint columns across nodes within a step), so its
-// result is numerically identical; tests assert this.
-func SolveSchedule(a *matrix.Dense, d int, fam ordering.Family, opts Options) (*EigenResult, error) {
-	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("jacobi: matrix is %dx%d, want square", a.Rows, a.Cols)
-	}
-	blocks, err := BuildBlocks(a, d)
-	if err != nil {
-		return nil, err
-	}
-	prob := &engine.Problem{
-		Blocks:    blocks,
-		Dim:       d,
-		Family:    fam,
-		Opts:      opts,
-		Rows:      a.Rows,
-		TraceGram: traceGram(a),
-	}
-	out, err := prob.RunCentral()
-	if err != nil {
-		return nil, err
-	}
-	res := eigenFromOutcome(out)
-	w := matrix.NewDense(a.Rows, a.Cols)
-	u := matrix.NewDense(a.Rows, a.Cols)
-	Gather(out.Blocks, w, u)
-	finishEigen(a, w, u, res)
-	return res, nil
-}
-
-// eigenFromOutcome copies the engine's convergence bookkeeping into a fresh
-// EigenResult.
-func eigenFromOutcome(out *engine.Outcome) *EigenResult {
-	return &EigenResult{
-		Sweeps:      out.Sweeps,
-		Converged:   out.Converged,
-		Interrupted: out.Interrupted,
-		FinalMaxRel: out.FinalMaxRel,
-		Rotations:   out.Rotations,
-	}
-}
-
-// finishEigen extracts sorted eigenpairs from the converged factors:
-// w = A·U with (near-)orthogonal columns, so λᵢ = uᵢᵀwᵢ and the eigenvector
-// is uᵢ. For symmetric A with distinct |λ| these are the eigenpairs of A;
-// a ±λ pair would need the Rayleigh-quotient refinement discussed in
-// DESIGN.md, which random test matrices avoid almost surely.
-func finishEigen(a, w, u *matrix.Dense, res *EigenResult) {
-	m := a.Rows
-	type pair struct {
-		value float64
-		col   int
-	}
-	pairs := make([]pair, m)
-	for i := 0; i < m; i++ {
-		pairs[i] = pair{value: matrix.Dot(u.Col(i), w.Col(i)), col: i}
-	}
-	sort.Slice(pairs, func(x, y int) bool { return pairs[x].value < pairs[y].value })
-	res.Values = make([]float64, m)
-	res.Vectors = matrix.NewDense(m, m)
-	for k, p := range pairs {
-		res.Values[k] = p.value
-		col := u.Col(p.col)
-		// Normalize defensively; accumulated rotations keep u orthonormal
-		// to machine precision already.
-		norm := matrix.Norm2(col)
-		dst := res.Vectors.Col(k)
-		copy(dst, col)
-		if norm > 0 && math.Abs(norm-1) > 1e-12 {
-			matrix.Scale(dst, 1/norm)
-		}
-	}
+	tg := a.FrobeniusNorm()
+	out := engine.RunCyclic(all.A, all.U, opts, tg*tg)
+	out.Blocks = []*engine.Block{all}
+	return out.Eigen(), nil
 }

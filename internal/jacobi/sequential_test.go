@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/matrix"
 	"repro/internal/ordering"
 )
@@ -93,10 +94,7 @@ func TestSolveScheduleMatchesCyclic(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, fam := range ordering.AllFamilies() {
-			res, err := SolveSchedule(a, c.d, fam, Options{})
-			if err != nil {
-				t.Fatalf("m=%d d=%d %s: %v", c.m, c.d, fam.Name(), err)
-			}
+			res := central(t, a, c.d, fam, Options{})
 			if !res.Converged {
 				t.Fatalf("m=%d d=%d %s: no convergence", c.m, c.d, fam.Name())
 			}
@@ -115,10 +113,7 @@ func TestSolveScheduleMatchesCyclic(t *testing.T) {
 func TestSolveScheduleSingleNode(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	a := matrix.RandomSymmetric(6, rng)
-	res, err := SolveSchedule(a, 0, ordering.NewBRFamily(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := central(t, a, 0, ordering.NewBRFamily(), Options{})
 	if !res.Converged {
 		t.Fatal("no convergence")
 	}
@@ -132,7 +127,7 @@ func TestSolveRejectsNonSquare(t *testing.T) {
 	if _, err := SolveCyclic(a, Options{}); err == nil {
 		t.Error("non-square accepted by cyclic")
 	}
-	if _, err := SolveSchedule(a, 1, ordering.NewBRFamily(), Options{}); err == nil {
+	if _, err := engine.NewProblem(a, 1, nil); err == nil {
 		t.Error("non-square accepted by schedule")
 	}
 	if _, err := SolveTwoSided(a, Options{}); err == nil {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/matrix"
 	"repro/internal/ordering"
 )
@@ -14,7 +15,7 @@ func TestSVDKnownMatrix(t *testing.T) {
 	a := matrix.NewDense(2, 2)
 	a.Set(0, 0, 3)
 	a.Set(1, 1, 2)
-	svd, err := SolveSVD(a, 0, nil, Options{})
+	svd, err := solveSVD(t, a, 0, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,14 +31,14 @@ func TestSVDRandomSquare(t *testing.T) {
 	rng := rand.New(rand.NewSource(301))
 	for _, n := range []int{4, 8, 16} {
 		a := matrix.RandomDense(n, n, rng)
-		svd, err := SolveSVD(a, 1, ordering.NewBRFamily(), Options{})
+		svd, err := solveSVD(t, a, 1, ordering.NewBRFamily(), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !svd.Converged {
 			t.Fatalf("n=%d: no convergence", n)
 		}
-		if e := SVDReconstructionError(a, svd); e > 1e-10 {
+		if e := svd.ReconstructionError(a); e > 1e-10 {
 			t.Errorf("n=%d: reconstruction error %g", n, e)
 		}
 		if o := matrix.OrthogonalityError(svd.U); o > 1e-10 {
@@ -57,11 +58,11 @@ func TestSVDRandomSquare(t *testing.T) {
 func TestSVDRectangular(t *testing.T) {
 	rng := rand.New(rand.NewSource(307))
 	a := matrix.RandomDense(20, 8, rng)
-	svd, err := SolveSVD(a, 1, ordering.NewDegree4Family(), Options{})
+	svd, err := solveSVD(t, a, 1, ordering.NewDegree4Family(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e := SVDReconstructionError(a, svd); e > 1e-10 {
+	if e := svd.ReconstructionError(a); e > 1e-10 {
 		t.Errorf("reconstruction error %g", e)
 	}
 	if svd.U.Rows != 20 || svd.U.Cols != 8 || svd.V.Rows != 8 {
@@ -70,10 +71,10 @@ func TestSVDRectangular(t *testing.T) {
 }
 
 func TestSVDRejectsWide(t *testing.T) {
-	if _, err := SolveSVD(matrix.NewDense(2, 5), 0, nil, Options{}); err == nil {
+	if _, err := engine.NewSVDProblem(matrix.NewDense(2, 5), 0); err == nil {
 		t.Error("wide matrix accepted")
 	}
-	if _, err := SolveSVD(matrix.NewDense(2, 0), 0, nil, Options{}); err == nil {
+	if _, err := engine.NewSVDProblem(matrix.NewDense(2, 0), 0); err == nil {
 		t.Error("empty matrix accepted")
 	}
 }
@@ -93,7 +94,7 @@ func TestSVDMatchesEigenForSPD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svd, err := SolveSVD(spd, 0, nil, Options{})
+	svd, err := solveSVD(t, spd, 0, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,12 +112,12 @@ func TestSVDMatchesEigenForSPD(t *testing.T) {
 func TestSVDOrderingInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(313))
 	a := matrix.RandomDense(16, 16, rng)
-	ref, err := SolveSVD(a, 2, ordering.NewBRFamily(), Options{})
+	ref, err := solveSVD(t, a, 2, ordering.NewBRFamily(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, fam := range []ordering.Family{ordering.NewPermutedBRFamily(), ordering.NewDegree4Family()} {
-		got, err := SolveSVD(a, 2, fam, Options{})
+		got, err := solveSVD(t, a, 2, fam, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +131,7 @@ func TestSVDOrderingInvariance(t *testing.T) {
 
 func TestSVDZeroMatrix(t *testing.T) {
 	a := matrix.NewDense(4, 3)
-	svd, err := SolveSVD(a, 0, nil, Options{})
+	svd, err := solveSVD(t, a, 0, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,25 @@ func TestSVDZeroMatrix(t *testing.T) {
 			t.Errorf("zero matrix has σ = %v", svd.Values)
 		}
 	}
-	if e := SVDReconstructionError(a, svd); e != 0 {
+	if e := svd.ReconstructionError(a); e != 0 {
 		t.Errorf("reconstruction error %g", e)
 	}
+}
+
+// solveSVD runs the SVD of a with the given ordering replayed sequentially
+// on a virtual d-cube (the engine's central path, with rectangular blocks
+// accumulating V). d = 0 gives the plain cyclic method.
+func solveSVD(t *testing.T, a *matrix.Dense, d int, fam ordering.Family, opts Options) (*engine.SVDResult, error) {
+	t.Helper()
+	p, err := engine.NewSVDProblem(a, d)
+	if err != nil {
+		return nil, err
+	}
+	p.Family = fam
+	p.Opts = opts
+	out, err := p.RunCentral()
+	if err != nil {
+		return nil, err
+	}
+	return out.SVD(), nil
 }

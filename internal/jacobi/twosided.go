@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/engine"
 	"repro/internal/matrix"
 )
 
@@ -15,7 +16,7 @@ const twoSidedSkipEps = 1e-15
 // SolveTwoSided runs the classic cyclic two-sided Jacobi eigensolver
 // (A ← JᵀAJ), the independent reference implementation used to validate the
 // one-sided solvers: it shares no rotation kernel or data layout with them.
-func SolveTwoSided(a *matrix.Dense, opts Options) (*EigenResult, error) {
+func SolveTwoSided(a *matrix.Dense, opts Options) (*engine.EigenResult, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("jacobi: matrix is %dx%d, want square", a.Rows, a.Cols)
 	}
@@ -26,7 +27,7 @@ func SolveTwoSided(a *matrix.Dense, opts Options) (*EigenResult, error) {
 	m := a.Rows
 	w := a.Clone()
 	v := matrix.Identity(m)
-	res := &EigenResult{}
+	res := &engine.EigenResult{}
 	for sweep := 0; sweep < opts.MaxSweeps; sweep++ {
 		maxRel := 0.0
 		for i := 0; i < m; i++ {

@@ -141,3 +141,23 @@ func CCubeProperty(sw *Sweep) error {
 	}
 	return nil
 }
+
+// VerifyOrdering machine-checks that the family yields exact round-robin
+// sweeps on a d-cube (block level, several consecutive sweeps) and that its
+// schedule has the CC-cube property.
+func VerifyOrdering(fam Family, d, sweeps int) error {
+	sw, err := CachedSweep(d, fam)
+	if err != nil {
+		return err
+	}
+	if err := CCubeProperty(sw); err != nil {
+		return err
+	}
+	st := NewState(d)
+	for s := 0; s < sweeps; s++ {
+		if err := VerifySweep(st, sw, s); err != nil {
+			return err
+		}
+	}
+	return nil
+}

@@ -188,3 +188,13 @@ func TestStateBlocksCopy(t *testing.T) {
 		t.Error("Blocks returned aliasing slice")
 	}
 }
+
+func TestVerifyOrdering(t *testing.T) {
+	for _, fam := range AllFamilies() {
+		for d := 1; d <= 4; d++ {
+			if err := VerifyOrdering(fam, d, 3); err != nil {
+				t.Errorf("%s d=%d: %v", fam.Name(), d, err)
+			}
+		}
+	}
+}

@@ -288,7 +288,7 @@ type Result struct {
 	// Values are the eigenvalues in ascending order.
 	Values []float64 `json:"values"`
 	// Sweeps, Converged, Interrupted, Rotations, FinalMaxRel mirror
-	// jacobi.EigenResult.
+	// engine.EigenResult.
 	Sweeps      int     `json:"sweeps"`
 	Converged   bool    `json:"converged"`
 	Interrupted bool    `json:"interrupted,omitempty"`

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/jacobi"
 	"repro/internal/ordering"
 	"repro/internal/store"
 )
@@ -15,10 +14,9 @@ import (
 // leader), it holds a short gather window (Config.LaneWindow) scooping
 // queued jobs with the same shape fingerprint — matrix size, hypercube
 // dimension, ordering — into a lane of up to Config.LaneWidth jobs, then
-// runs the whole lane in SIMD lockstep on engine.BatchedBackend via
-// jacobi.SolveLane. One worker slot thus serves LaneWidth jobs; the other
-// workers keep draining non-lane work (multicore for big jobs, per the
-// auto-selection split).
+// runs the whole lane in SIMD lockstep on engine.BatchedBackend. One
+// worker slot thus serves LaneWidth jobs; the other workers keep draining
+// non-lane work (multicore for big jobs, per the auto-selection split).
 //
 // Scheduling properties preserved from the solo path:
 //
@@ -202,8 +200,9 @@ func (s *Service) runLane(jobs []*Job) {
 		}
 		return
 	}
-	reqs := make([]*jacobi.LaneRequest, len(jobs))
+	lane := make([]*engine.LaneJob, len(jobs))
 	writers := make([]*ckptWriter, len(jobs))
+	var prepErr error
 	for i, j := range jobs {
 		j.mu.Lock()
 		j.state = StateRunning
@@ -212,10 +211,17 @@ func (s *Service) runLane(jobs []*Job) {
 		j.publish(Event{Type: EventStarted, State: StateRunning})
 		jj := j
 		spec := j.Spec()
-		reqs[i] = &jacobi.LaneRequest{
-			A:           spec.Matrix,
-			Options:     jacobi.Options{Tol: spec.Tol, MaxSweeps: spec.MaxSweeps},
+		prob, err := engine.NewProblem(spec.Matrix, spec0.Dim, nil)
+		if err != nil {
+			prepErr = err
+			break
+		}
+		lane[i] = &engine.LaneJob{
+			Blocks:      prob.Blocks,
+			Opts:        engine.Options{Tol: spec.Tol, MaxSweeps: spec.MaxSweeps},
+			Rows:        prob.Rows,
 			FixedSweeps: spec.FixedSweeps,
+			TraceGram:   prob.TraceGram,
 			Interrupt:   func() bool { return jj.ctx.Err() != nil },
 			OnSweep: func(p engine.SweepProgress) {
 				jj.publish(Event{Type: EventSweep, State: StateRunning, Sweep: &SweepEvent{
@@ -229,13 +235,17 @@ func (s *Service) runLane(jobs []*Job) {
 		if s.cfg.Store != nil && s.cfg.CheckpointEvery >= 0 && spec.FixedSweeps == 0 {
 			w := newCkptWriter(s.cfg.Store, j.id)
 			writers[i] = w
-			reqs[i].OnCheckpoint = w.offer
-			reqs[i].CheckpointEvery = s.cfg.CheckpointEvery
+			lane[i].OnCheckpoint = w.offer
+			lane[i].CheckpointEvery = s.cfg.CheckpointEvery
 		}
 	}
 	s.recordLane(len(jobs))
 	start := time.Now()
-	eigs, laneErr := jacobi.SolveLane(spec0.Dim, fam, false, reqs)
+	var outs []*engine.Outcome
+	laneErr := prepErr
+	if laneErr == nil {
+		outs, laneErr = (&engine.BatchedBackend{}).RunLane(spec0.Dim, fam, lane)
+	}
 	wallMs := float64(time.Since(start).Microseconds()) / 1000
 	for _, w := range writers {
 		if w != nil {
@@ -251,7 +261,7 @@ func (s *Service) runLane(jobs []*Job) {
 			j.finish(StateFailed, nil, laneErr, false)
 			s.countFinish(j, StateFailed)
 		default:
-			eig := eigs[i]
+			eig := outs[i].Eigen()
 			res := &Result{
 				Backend:     BackendLane,
 				Values:      eig.Values,

@@ -52,7 +52,6 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/jacobi"
 	"repro/internal/machine"
 	"repro/internal/ordering"
 	"repro/internal/store"
@@ -1100,46 +1099,40 @@ func RunSpec(ctx context.Context, spec JobSpec, backend string, h RunHooks) (*Re
 		pipelined = h.Schedule.Pipelined
 		pipelineQ = h.Schedule.PipelineQ
 	}
-	cfg := jacobi.ParallelConfig{
-		Family:      fam,
-		Options:     jacobi.Options{Tol: spec.Tol, MaxSweeps: spec.MaxSweeps},
-		Ts:          spec.Ts,
-		Tw:          spec.Tw,
-		Tc:          spec.Tc,
-		FixedSweeps: spec.FixedSweeps,
-		PipelineQ:   pipelineQ,
-		OnSweep:     h.OnSweep,
-		Resume:      h.Resume,
-	}
-	if h.OnCheckpoint != nil && !pipelined && spec.FixedSweeps == 0 && h.Schedule == nil {
-		cfg.OnCheckpoint = h.OnCheckpoint
-		cfg.CheckpointEvery = h.CheckpointEvery
-	}
+	mc := machine.Config{Ts: spec.Ts, Tw: spec.Tw, Tc: spec.Tc}
 	if spec.OnePort {
-		cfg.Ports = machine.OnePort
+		mc.Ports = machine.OnePort
 	}
 	var col *trace.Collector
-	switch backend {
-	case BackendEmulated:
-		if spec.WantTrace {
-			col = trace.NewCollector()
-			cfg.Trace = col.Record
-		}
-		// cfg.Backend nil selects the emulated machine built from the
-		// config's Ports/Ts/Tw/Tc/Trace.
-	case BackendMulticore:
-		cfg.Backend = &engine.Multicore{}
-	case BackendAnalytic:
-		cfg.Backend = &engine.Analytic{Ports: cfg.Ports, Ts: spec.Ts, Tw: spec.Tw, Tc: spec.Tc}
-	default:
-		return nil, fmt.Errorf("service: cannot run backend %q directly", backend)
+	if backend == BackendEmulated && spec.WantTrace {
+		col = trace.NewCollector()
+		mc.OnEvent = col.Record
 	}
-
+	be, err := engine.NewBackend(backend, mc)
+	if err != nil {
+		return nil, fmt.Errorf("service: %w", err)
+	}
 	start := time.Now()
-	eig, stats, err := jacobi.SolveParallelContext(ctx, spec.Matrix, spec.Dim, cfg, pipelined)
+	prob, err := engine.NewProblem(spec.Matrix, spec.Dim, h.Resume)
 	if err != nil {
 		return nil, err
 	}
+	prob.Family = fam
+	prob.Opts = engine.Options{Tol: spec.Tol, MaxSweeps: spec.MaxSweeps}
+	prob.FixedSweeps = spec.FixedSweeps
+	prob.OnSweep = h.OnSweep
+	prob.Pipelined = pipelined
+	prob.PipelineQ = pipelineQ
+	prob.PipelineTs, prob.PipelineTw, prob.PipelinePorts = spec.Ts, spec.Tw, int(mc.Ports)
+	if h.OnCheckpoint != nil && !pipelined && spec.FixedSweeps == 0 && h.Schedule == nil {
+		prob.OnCheckpoint = h.OnCheckpoint
+		prob.CheckpointEvery = h.CheckpointEvery
+	}
+	out, stats, err := prob.RunContext(ctx, be)
+	if err != nil {
+		return nil, err
+	}
+	eig := out.Eigen()
 	res := &Result{
 		Backend:     backend,
 		Values:      eig.Values,

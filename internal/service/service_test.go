@@ -8,7 +8,7 @@ import (
 	"time"
 
 	"repro/internal/costmodel"
-	"repro/internal/jacobi"
+	"repro/internal/engine"
 	"repro/internal/matrix"
 	"repro/internal/ordering"
 )
@@ -26,11 +26,17 @@ func sequentialValues(t *testing.T, spec JobSpec) []float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := jacobi.SolveSchedule(spec.Matrix, spec.Dim, fam, jacobi.Options{Tol: spec.Tol, MaxSweeps: spec.MaxSweeps})
+	prob, err := engine.NewProblem(spec.Matrix, spec.Dim, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.Values
+	prob.Family = fam
+	prob.Opts = engine.Options{Tol: spec.Tol, MaxSweeps: spec.MaxSweeps}
+	out, err := prob.RunCentral()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out.Eigen().Values
 }
 
 // TestBatchMatchesSequential is the service-level acceptance check: a

@@ -5,6 +5,9 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"testing"
+
+	"repro/internal/engine"
+	"repro/internal/matrix"
 )
 
 // FuzzJournalDecode: arbitrary bytes through the journal reader must
@@ -59,16 +62,14 @@ func FuzzJournalDecode(f *testing.F) {
 	})
 }
 
-// FuzzCheckpointDecode: arbitrary bytes through the checkpoint decoder
-// must error or produce a checkpoint that re-encodes to the same bytes —
-// never panic.
-func FuzzCheckpointDecode(f *testing.F) {
-	// A tiny handcrafted valid checkpoint seed (dim 0: one node, two
-	// single-column slots of height 1).
+// checkpointSeed hand-encodes a dimension-0 checkpoint (one node, two
+// single-column slots with heights 2x2) whose slots carry the given
+// column IDs.
+func checkpointSeed(cols [2]uint32) []byte {
 	payload := []byte{ckptVersion}
 	payload = binary.LittleEndian.AppendUint32(payload, 0) // dim
-	payload = binary.LittleEndian.AppendUint32(payload, 1) // rows
-	payload = binary.LittleEndian.AppendUint32(payload, 1) // factorRows
+	payload = binary.LittleEndian.AppendUint32(payload, 2) // rows
+	payload = binary.LittleEndian.AppendUint32(payload, 2) // factorRows
 	payload = binary.LittleEndian.AppendUint32(payload, 1) // sweep
 	payload = binary.LittleEndian.AppendUint64(payload, 12)
 	payload = binary.LittleEndian.AppendUint64(payload, 0x3ff0000000000000) // traceGram = 1.0
@@ -76,14 +77,27 @@ func FuzzCheckpointDecode(f *testing.F) {
 	for slot := 0; slot < 2; slot++ {
 		payload = binary.LittleEndian.AppendUint32(payload, uint32(slot)) // id
 		payload = binary.LittleEndian.AppendUint32(payload, 1)            // ncols
-		payload = binary.LittleEndian.AppendUint32(payload, uint32(slot)) // col index
-		payload = binary.LittleEndian.AppendUint64(payload, 0x3ff0000000000000)
-		payload = binary.LittleEndian.AppendUint64(payload, 0x3ff0000000000000)
+		payload = binary.LittleEndian.AppendUint32(payload, cols[slot])   // col index
+		// The A column, then the U column, all ones.
+		for v := 0; v < 4; v++ {
+			payload = binary.LittleEndian.AppendUint64(payload, 0x3ff0000000000000)
+		}
 	}
 	img := []byte(ckptMagic)
 	img = binary.LittleEndian.AppendUint32(img, fileVersion)
 	img = binary.LittleEndian.AppendUint32(img, crcOf(payload))
-	img = append(img, payload...)
+	return append(img, payload...)
+}
+
+// FuzzCheckpointDecode: arbitrary bytes through the checkpoint decoder
+// must error or produce a checkpoint that re-encodes to the same bytes and
+// restores and gathers into full factors — never panic.
+func FuzzCheckpointDecode(f *testing.F) {
+	img := checkpointSeed([2]uint32{0, 1})
+	// Well-framed checkpoints whose column IDs do not name each factor
+	// column exactly once: the decoder must reject them.
+	f.Add(checkpointSeed([2]uint32{0, 99}))
+	f.Add(checkpointSeed([2]uint32{1, 1}))
 	f.Add(img)
 	f.Add(img[:len(img)-5])
 	flipped := append([]byte(nil), img...)
@@ -100,6 +114,11 @@ func FuzzCheckpointDecode(f *testing.F) {
 		if !bytes.Equal(encodeCheckpoint(ck), data) {
 			t.Fatal("decoded checkpoint does not re-encode to the same bytes")
 		}
+		prob := &engine.Problem{Dim: ck.Dim}
+		if err := prob.Restore(ck); err != nil {
+			t.Fatalf("decoded checkpoint does not restore: %v", err)
+		}
+		engine.Gather(prob.Blocks, matrix.NewDense(ck.Rows, ck.FactorRows), matrix.NewDense(ck.FactorRows, ck.FactorRows))
 	})
 }
 

@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/jacobi"
+	"repro/internal/engine"
 	"repro/internal/machine"
 	"repro/internal/matrix"
 	"repro/internal/ordering"
@@ -68,10 +68,14 @@ func TestTraceShowsOrderingBalance(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	a := matrix.RandomSymmetric(32, rng)
 	share := func(fam ordering.Family) float64 {
-		col := NewCollector()
-		cfg := jacobi.ParallelConfig{Family: fam, Ts: 1000, Tw: 100, FixedSweeps: 1}
-		_, _, err := solveWithTrace(a, 4, cfg, col)
+		prob, err := engine.NewProblem(a, 4, nil)
 		if err != nil {
+			t.Fatal(err)
+		}
+		prob.Family = fam
+		prob.FixedSweeps = 1
+		col := NewCollector()
+		if _, _, err := prob.Run(&engine.Emulated{Ts: 1000, Tw: 100, OnEvent: col.Record}); err != nil {
 			t.Fatal(err)
 		}
 		return col.Summarize(4).MaxDimShare
@@ -87,13 +91,6 @@ func TestTraceShowsOrderingBalance(t *testing.T) {
 	if pbrShare > 0.40 {
 		t.Errorf("permuted-BR max dim share %.2f, expected near 1/d = 0.25", pbrShare)
 	}
-}
-
-// solveWithTrace wires a collector into the solver's machine configuration.
-// The jacobi package builds its machine internally, so run the pieces here.
-func solveWithTrace(a *matrix.Dense, d int, cfg jacobi.ParallelConfig, col *Collector) (*jacobi.EigenResult, *machine.RunStats, error) {
-	cfg.Trace = col.Record
-	return jacobi.SolveParallel(a, d, cfg)
 }
 
 func TestFormatDimShares(t *testing.T) {

@@ -1,14 +1,13 @@
 package tuner
 
 import (
-	"context"
 	"math"
 	"math/rand"
 	"sort"
 	"testing"
 
 	"repro/internal/costmodel"
-	"repro/internal/jacobi"
+	"repro/internal/engine"
 	"repro/internal/matrix"
 	"repro/internal/ordering"
 )
@@ -72,17 +71,12 @@ func TestConformanceSerializedScheduleBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := matrix.RandomSymmetric(sh.N, rand.New(rand.NewSource(77)))
-	run := func(sc *Schedule) *jacobi.EigenResult {
+	run := func(sc *Schedule) *engine.EigenResult {
 		fam, err := sc.Family()
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := jacobi.ParallelConfig{Family: fam, Ts: 1000, Tw: 100, PipelineQ: sc.PipelineQ}
-		eig, _, err := jacobi.SolveParallelContext(context.Background(), a, sh.Dim, cfg, sc.Pipelined)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return eig
+		return emulatedSolve(t, a, sh.Dim, fam, sc.Pipelined, sc.PipelineQ)
 	}
 	orig, loaded := run(w), run(back)
 	if len(orig.Values) != len(loaded.Values) {
@@ -115,19 +109,12 @@ func TestConformanceEigenvaluesMatchBaseline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, _, err := jacobi.SolveParallel(a, sh.Dim, jacobi.ParallelConfig{Family: base, Ts: 1000, Tw: 100})
-		if err != nil {
-			t.Fatal(err)
-		}
+		ref := emulatedSolve(t, a, sh.Dim, base, false, 0)
 		fam, err := rep.Winner.Family()
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := jacobi.ParallelConfig{Family: fam, Ts: 1000, Tw: 100, PipelineQ: rep.Winner.PipelineQ}
-		tuned, _, err := jacobi.SolveParallelContext(context.Background(), a, sh.Dim, cfg, rep.Winner.Pipelined)
-		if err != nil {
-			t.Fatal(err)
-		}
+		tuned := emulatedSolve(t, a, sh.Dim, fam, rep.Winner.Pipelined, rep.Winner.PipelineQ)
 		if !ref.Converged || !tuned.Converged {
 			t.Fatalf("%s: convergence ref=%v tuned=%v", sh.Key(), ref.Converged, tuned.Converged)
 		}
@@ -143,4 +130,22 @@ func TestConformanceEigenvaluesMatchBaseline(t *testing.T) {
 			}
 		}
 	}
+}
+
+// emulatedSolve runs the eigensolve of a on the emulated machine with the
+// paper's Figure 2 parameters, under the given ordering and pipelining.
+func emulatedSolve(t *testing.T, a *matrix.Dense, d int, fam ordering.Family, pipelined bool, q int) *engine.EigenResult {
+	t.Helper()
+	p, err := engine.NewProblem(a, d, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Family = fam
+	p.Pipelined, p.PipelineQ = pipelined, q
+	p.PipelineTs, p.PipelineTw = 1000, 100
+	out, _, err := p.Run(&engine.Emulated{Ts: 1000, Tw: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out.Eigen()
 }

@@ -1,7 +1,6 @@
 package tuner
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -9,7 +8,6 @@ import (
 
 	"repro/internal/costmodel"
 	"repro/internal/engine"
-	"repro/internal/jacobi"
 	"repro/internal/machine"
 	"repro/internal/matrix"
 	"repro/internal/ordering"
@@ -281,15 +279,16 @@ func generate(shape Shape, opt Options, rng *rand.Rand) []candidate {
 // score runs one fixed-sweep solve of the scoring matrix on the analytic
 // backend and returns the modeled makespan.
 func score(a *matrix.Dense, shape Shape, p Params, fam ordering.Family, pipelined bool) (float64, error) {
-	cfg := jacobi.ParallelConfig{
-		Family:      fam,
-		Ports:       machine.PortModel(shape.Ports),
-		Ts:          p.Ts,
-		Tw:          p.Tw,
-		FixedSweeps: 1,
-		Backend:     &engine.Analytic{Ports: machine.PortModel(shape.Ports), Ts: p.Ts, Tw: p.Tw},
+	prob, err := engine.NewProblem(a, shape.Dim, nil)
+	if err != nil {
+		return 0, err
 	}
-	_, stats, err := jacobi.SolveParallelContext(context.Background(), a, shape.Dim, cfg, pipelined)
+	ports := machine.PortModel(shape.Ports)
+	prob.Family = fam
+	prob.FixedSweeps = 1
+	prob.Pipelined = pipelined
+	prob.PipelineTs, prob.PipelineTw, prob.PipelinePorts = p.Ts, p.Tw, int(ports)
+	_, stats, err := prob.Run(&engine.Analytic{Ports: ports, Ts: p.Ts, Tw: p.Tw})
 	if err != nil {
 		return 0, err
 	}
