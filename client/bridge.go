@@ -91,6 +91,7 @@ func FromServiceStatus(st service.Status) Status {
 		TunedOrdering:    st.TunedOrdering,
 		Restarts:         st.Restarts,
 		ResumedFromSweep: st.ResumedFromSweep,
+		CheckpointEvery:  st.CheckpointEvery,
 		Error:            st.Error,
 		WaitMs:           st.WaitMs,
 		RunMs:            st.RunMs,
@@ -177,6 +178,8 @@ func FromServiceSnapshot(m service.Snapshot) Metrics {
 		WallP99Ms:            m.WallP99Ms,
 		TotalModeledMakespan: m.TotalModeledMakespan,
 		JobsPerSec:           m.JobsPerSec,
+		CheckpointsSaved:     m.CheckpointsSaved,
+		CheckpointBytes:      m.CheckpointBytes,
 		ScheduleBuilds:       m.ScheduleCache.Builds,
 		ScheduleHits:         m.ScheduleCache.Hits,
 		TunedSchedules:       m.TunedSchedules,

@@ -181,12 +181,17 @@ type Status struct {
 	// durable checkpoint its latest re-enqueue resumed from (0 = from
 	// scratch). Both are zero unless the server runs with a durable store
 	// (`jacobitool serve -data`).
-	Restarts         int     `json:"restarts,omitempty"`
-	ResumedFromSweep int     `json:"resumed_from_sweep,omitempty"`
-	Error            string  `json:"error,omitempty"`
-	WaitMs           float64 `json:"wait_ms"`
-	RunMs            float64 `json:"run_ms"`
-	Submitted        string  `json:"submitted"`
+	Restarts         int `json:"restarts,omitempty"`
+	ResumedFromSweep int `json:"resumed_from_sweep,omitempty"`
+	// CheckpointEvery is the sweep cadence the job's run checkpoints at
+	// on a durable server (chosen by cost unless the server fixes it with
+	// `serve -checkpoint-every`); 0 while queued and for runs that do not
+	// checkpoint.
+	CheckpointEvery int     `json:"checkpoint_every,omitempty"`
+	Error           string  `json:"error,omitempty"`
+	WaitMs          float64 `json:"wait_ms"`
+	RunMs           float64 `json:"run_ms"`
+	Submitted       string  `json:"submitted"`
 }
 
 // Terminal reports whether the state is done, failed or canceled.
@@ -374,6 +379,12 @@ type Metrics struct {
 	// makespan; JobsPerSec is completed jobs over uptime.
 	TotalModeledMakespan float64 `json:"total_modeled_makespan"`
 	JobsPerSec           float64 `json:"jobs_per_sec"`
+
+	// CheckpointsSaved counts the sweep checkpoints the server's running
+	// jobs wrote to its durable store this boot; CheckpointBytes is their total image
+	// size. Both stay zero without `serve -data`.
+	CheckpointsSaved int64 `json:"checkpoints_saved"`
+	CheckpointBytes  int64 `json:"checkpoint_bytes"`
 
 	// ScheduleBuilds / ScheduleHits report the process-wide sweep-schedule
 	// cache behind the service's solves.

@@ -90,7 +90,7 @@ func startCluster(t *testing.T, ids []string) map[string]*clusterNode {
 			t.Fatal(err)
 		}
 		tn.st = st
-		tn.svc = service.New(service.Config{Workers: 1, Store: st, NodeID: id})
+		tn.svc = service.New(service.Config{Workers: 1, Store: st, NodeID: id, CheckpointEvery: 1})
 		tn.srv = httptest.NewServer(tn)
 		nodes[id] = tn
 	}

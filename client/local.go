@@ -41,8 +41,10 @@ type LocalConfig struct {
 	// boundaries, so a new Local client opened on the same directory
 	// recovers finished results, re-enqueues queued jobs and resumes
 	// in-flight ones from their last checkpoint (see `jacobitool serve
-	// -data` and DESIGN.md §10). CheckpointEvery tunes the cadence
-	// (0 = every sweep, negative = no checkpoints).
+	// -data` and DESIGN.md §10). CheckpointEvery tunes the cadence:
+	// 0 = by cost (saves take at most 5% of the predicted solve time,
+	// every sweep until sweep and save times are measured), k > 0 = every
+	// k sweeps, negative = no checkpoints.
 	DataDir         string
 	CheckpointEvery int
 }

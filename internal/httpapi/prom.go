@@ -106,6 +106,9 @@ func renderProm(m service.Snapshot) string {
 		}
 	}
 
+	counter("jacobi_checkpoints_saved_total", "Sweep checkpoints running jobs wrote to the durable store this boot.", float64(m.CheckpointsSaved))
+	counter("jacobi_checkpoint_bytes_total", "Image bytes of the sweep checkpoints written this boot.", float64(m.CheckpointBytes))
+
 	counter("jacobi_total_modeled_makespan", "Aggregate modeled virtual-time makespan of executed work.", m.TotalModeledMakespan)
 	gauge("jacobi_jobs_per_sec", "This-boot completed jobs over this-boot uptime.", m.JobsPerSec)
 

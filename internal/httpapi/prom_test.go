@@ -103,9 +103,13 @@ func TestPromMetricsAgreeWithSnapshot(t *testing.T) {
 		"jacobi_workers":                                    float64(snap.Workers),
 		"jacobi_cache_hits_total":                           float64(snap.CacheHits),
 		"jacobi_jobs_recovered_total{outcome=\"done\"}":     float64(snap.RecoveredDone),
+		"jacobi_checkpoints_saved_total":                    float64(snap.CheckpointsSaved),
+		"jacobi_checkpoint_bytes_total":                     float64(snap.CheckpointBytes),
 	}
 	for key, v := range want {
-		if got[key] != v {
+		if _, ok := got[key]; !ok {
+			t.Errorf("%s missing from /metrics", key)
+		} else if got[key] != v {
 			t.Errorf("%s = %v, want %v (snapshot)", key, got[key], v)
 		}
 	}

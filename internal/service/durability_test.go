@@ -270,7 +270,7 @@ func TestRecoveryTerminalAndQueued(t *testing.T) {
 func resumeTrial(t *testing.T, dir string, spec JobSpec, afterSweeps int, control *Result) Status {
 	t.Helper()
 	st := openStore(t, dir)
-	s := New(Config{Workers: 1, Store: st})
+	s := New(Config{Workers: 1, Store: st, CheckpointEvery: 1})
 	j, err := s.Submit(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
@@ -296,7 +296,7 @@ func resumeTrial(t *testing.T, dir string, spec JobSpec, afterSweeps int, contro
 	st.Close()
 
 	st2 := openStore(t, dir)
-	s2 := New(Config{Workers: 1, Store: st2})
+	s2 := New(Config{Workers: 1, Store: st2, CheckpointEvery: 1})
 	r, ok := s2.Job(j.ID())
 	if !ok {
 		t.Fatalf("in-flight job %s not recovered", j.ID())
@@ -381,7 +381,7 @@ func TestRecoveryDoubleRestart(t *testing.T) {
 	dir := t.TempDir()
 	// First kill.
 	st := openStore(t, dir)
-	s := New(Config{Workers: 1, Store: st})
+	s := New(Config{Workers: 1, Store: st, CheckpointEvery: 1})
 	j, err := s.Submit(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
@@ -391,7 +391,7 @@ func TestRecoveryDoubleRestart(t *testing.T) {
 	st.Close()
 	// Second kill, mid-resumed-run.
 	st = openStore(t, dir)
-	s = New(Config{Workers: 1, Store: st})
+	s = New(Config{Workers: 1, Store: st, CheckpointEvery: 1})
 	r, ok := s.Job(j.ID())
 	if !ok {
 		t.Fatal("job lost after first restart")
@@ -402,7 +402,7 @@ func TestRecoveryDoubleRestart(t *testing.T) {
 	// Final run to completion.
 	st = openStore(t, dir)
 	defer st.Close()
-	s = New(Config{Workers: 1, Store: st})
+	s = New(Config{Workers: 1, Store: st, CheckpointEvery: 1})
 	defer s.Close()
 	r, ok = s.Job(j.ID())
 	if !ok {

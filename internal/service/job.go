@@ -344,6 +344,9 @@ type Job struct {
 	svc    *Service
 
 	index int // heap position (-1 once dequeued)
+	// inflight marks a job a worker took off the queue and counted in
+	// Service.inflight; recordFinish releases the slot.
+	inflight bool // guarded by Service.mu
 
 	mu        sync.Mutex
 	state     State     // guarded by mu
@@ -365,6 +368,9 @@ type Job struct {
 	restarts    int
 	resumedFrom int
 	resume      *engine.Checkpoint
+	// ckptEvery is the checkpoint cadence the latest run chose (0 = the
+	// run does not checkpoint).
+	ckptEvery int // guarded by mu
 
 	evMu sync.Mutex // guards ev; see events.go
 	ev   jobEvents
@@ -423,6 +429,13 @@ func (j *Job) takeResume() *engine.Checkpoint {
 	ck := j.resume
 	j.resume = nil
 	return ck
+}
+
+// setCheckpointEvery records the cadence the job's run checkpoints at.
+func (j *Job) setCheckpointEvery(k int) {
+	j.mu.Lock()
+	j.ckptEvery = k
+	j.mu.Unlock()
 }
 
 // hasResume reports whether a recovery checkpoint is pending. The lane
@@ -491,12 +504,16 @@ type Status struct {
 	// was running; ResumedFromSweep is the completed-sweep count of the
 	// checkpoint its latest re-enqueue resumed from (0 = from scratch).
 	// Both are zero on a service without a durable store.
-	Restarts         int     `json:"restarts,omitempty"`
-	ResumedFromSweep int     `json:"resumed_from_sweep,omitempty"`
-	Error            string  `json:"error,omitempty"`
-	WaitMs           float64 `json:"wait_ms"`
-	RunMs            float64 `json:"run_ms"`
-	Submitted        string  `json:"submitted"`
+	Restarts         int `json:"restarts,omitempty"`
+	ResumedFromSweep int `json:"resumed_from_sweep,omitempty"`
+	// CheckpointEvery is the sweep cadence the job's run checkpoints at
+	// (chosen by cost unless the service fixes it); 0 while queued and for
+	// runs that do not checkpoint.
+	CheckpointEvery int     `json:"checkpoint_every,omitempty"`
+	Error           string  `json:"error,omitempty"`
+	WaitMs          float64 `json:"wait_ms"`
+	RunMs           float64 `json:"run_ms"`
+	Submitted       string  `json:"submitted"`
 }
 
 // Status returns the job's snapshot.
@@ -516,6 +533,7 @@ func (j *Job) Status() Status {
 		CacheHit:         j.cacheHit,
 		Restarts:         j.restarts,
 		ResumedFromSweep: j.resumedFrom,
+		CheckpointEvery:  j.ckptEvery,
 		Submitted:        j.submitted.UTC().Format(time.RFC3339Nano),
 	}
 	if j.tuned != nil {
@@ -536,7 +554,9 @@ func (j *Job) Status() Status {
 	return st
 }
 
-// finish moves the job to a terminal state exactly once.
+// finish moves the job to a terminal state exactly once, journals and
+// counts the transition, then wakes subscribers and waiters. It must be
+// called without s.mu held.
 func (j *Job) finish(state State, res *Result, err error, cacheHit bool) {
 	j.mu.Lock()
 	if j.state == StateDone || j.state == StateFailed || j.state == StateCanceled {
@@ -551,6 +571,7 @@ func (j *Job) finish(state State, res *Result, err error, cacheHit bool) {
 	if j.started.IsZero() {
 		j.started = j.finished
 	}
+	runMs := float64(j.finished.Sub(j.started).Microseconds()) / 1000
 	// Release the input matrix: the record lives on for status/result
 	// queries, which no longer need the O(n²) payload.
 	j.spec.Matrix = nil
@@ -561,6 +582,9 @@ func (j *Job) finish(state State, res *Result, err error, cacheHit bool) {
 		// canceled by a service shutdown are deliberately NOT recorded:
 		// they stay in-flight in the journal and resume on the next boot.
 		j.svc.persistFinished(j, state, res, err)
+		// Count the job before done is signaled, so a caller returning
+		// from Wait finds it in Metrics.
+		j.svc.recordFinish(j, state, res, cacheHit, runMs)
 	}
 	var et EventType
 	switch state {

@@ -48,7 +48,7 @@ func (s *Service) gatherLane(leader *Job) []*Job {
 			if m == nil {
 				break
 			}
-			s.inflight++
+			s.startLocked(m)
 			lane = append(lane, m)
 		}
 		if len(lane) >= s.cfg.LaneWidth || s.closed {
@@ -106,20 +106,10 @@ func (s *Service) popLaneMateLocked(leader *Job) *Job {
 // solving on a width-1 lane, so a small job that never found lane mates is
 // never starved by lane routing.
 func (s *Service) executeLane(lane []*Job) {
-	if extra := len(lane) - 1; extra > 0 {
-		// gatherLane counted the scooped mates as in-flight; the worker
-		// decrements only its own slot.
-		defer func() {
-			s.mu.Lock()
-			s.inflight -= extra
-			s.mu.Unlock()
-		}()
-	}
 	run := make([]*Job, 0, len(lane))
 	for _, j := range lane {
 		if j.ctx.Err() != nil {
 			j.finish(StateCanceled, nil, context.Cause(j.ctx), false)
-			s.countFinish(j, StateCanceled)
 			continue
 		}
 		if j.hasResume() {
@@ -139,7 +129,6 @@ func (s *Service) executeLane(lane []*Job) {
 			j.mu.Unlock()
 			j.publish(Event{Type: EventStarted, State: StateRunning})
 			j.finish(StateDone, res, nil, true)
-			s.recordDone(j, res, true)
 			continue
 		}
 		run = append(run, j)
@@ -196,7 +185,6 @@ func (s *Service) runLane(jobs []*Job) {
 	if err != nil {
 		for _, j := range jobs {
 			j.finish(StateFailed, nil, err, false)
-			s.countFinish(j, StateFailed)
 		}
 		return
 	}
@@ -216,6 +204,9 @@ func (s *Service) runLane(jobs []*Job) {
 			prepErr = err
 			break
 		}
+		n := spec.Matrix.Rows
+		key := cadenceKey{backend: BackendLane, dim: spec0.Dim}
+		tick := s.sweepTimer(key, n)
 		lane[i] = &engine.LaneJob{
 			Blocks:      prob.Blocks,
 			Opts:        engine.Options{Tol: spec.Tol, MaxSweeps: spec.MaxSweeps},
@@ -224,6 +215,7 @@ func (s *Service) runLane(jobs []*Job) {
 			TraceGram:   prob.TraceGram,
 			Interrupt:   func() bool { return jj.ctx.Err() != nil },
 			OnSweep: func(p engine.SweepProgress) {
+				tick()
 				jj.publish(Event{Type: EventSweep, State: StateRunning, Sweep: &SweepEvent{
 					Sweep:     p.Sweep,
 					MaxRel:    p.MaxRel,
@@ -233,10 +225,11 @@ func (s *Service) runLane(jobs []*Job) {
 			},
 		}
 		if s.cfg.Store != nil && s.cfg.CheckpointEvery >= 0 && spec.FixedSweeps == 0 {
-			w := newCkptWriter(s.cfg.Store, j.id)
+			w := newCkptWriter(s, j.id, store.CheckpointSize(spec0.Dim, n, n))
 			writers[i] = w
 			lane[i].OnCheckpoint = w.offer
-			lane[i].CheckpointEvery = s.cfg.CheckpointEvery
+			lane[i].CheckpointEvery = s.checkpointEvery(key, n)
+			j.setCheckpointEvery(lane[i].CheckpointEvery)
 		}
 	}
 	s.recordLane(len(jobs))
@@ -256,10 +249,8 @@ func (s *Service) runLane(jobs []*Job) {
 		switch {
 		case j.ctx.Err() != nil:
 			j.finish(StateCanceled, nil, context.Cause(j.ctx), false)
-			s.countFinish(j, StateCanceled)
 		case laneErr != nil:
 			j.finish(StateFailed, nil, laneErr, false)
-			s.countFinish(j, StateFailed)
 		default:
 			eig := outs[i].Eigen()
 			res := &Result{
@@ -274,7 +265,6 @@ func (s *Service) runLane(jobs []*Job) {
 			}
 			s.cacheStore(j.fp, res)
 			j.finish(StateDone, res, nil, false)
-			s.recordDone(j, res, false)
 		}
 	}
 }

@@ -134,19 +134,15 @@ func (s *Service) CompleteLent(id string, res *Result, errMsg string) bool {
 	switch {
 	case j.ctx.Err() != nil:
 		j.finish(StateCanceled, nil, context.Cause(j.ctx), false)
-		s.countFinish(j, StateCanceled)
 	case errMsg != "":
 		err := fmt.Errorf("service: remote solve: %s", errMsg)
 		j.finish(StateFailed, nil, err, false)
-		s.countFinish(j, StateFailed)
 	case res == nil:
 		err := errors.New("service: remote solve returned no result")
 		j.finish(StateFailed, nil, err, false)
-		s.countFinish(j, StateFailed)
 	default:
 		s.cacheStore(j.fp, res)
 		j.finish(StateDone, res, nil, false)
-		s.recordDone(j, res, false)
 	}
 	return true
 }
@@ -185,7 +181,6 @@ func (s *Service) settleLent(id string) *Job {
 func (s *Service) requeueLent(j *Job) {
 	if j.ctx.Err() != nil {
 		j.finish(StateCanceled, nil, context.Cause(j.ctx), false)
-		s.countFinish(j, StateCanceled)
 		return
 	}
 	s.mu.Lock()
@@ -193,7 +188,6 @@ func (s *Service) requeueLent(j *Job) {
 		s.mu.Unlock()
 		j.cancel(ErrShutdown)
 		j.finish(StateCanceled, nil, ErrShutdown, false)
-		s.countFinish(j, StateCanceled)
 		return
 	}
 	j.mu.Lock()

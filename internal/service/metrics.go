@@ -212,6 +212,13 @@ type Snapshot struct {
 	// the work WAS executed, just by a previous boot).
 	TotalModeledMakespan float64 `json:"total_modeled_makespan"`
 
+	// CheckpointsSaved counts the sweep checkpoints this boot's running
+	// jobs wrote to the durable store; CheckpointBytes is their total
+	// image size. Under the by-cost cadence (Config.CheckpointEvery ==
+	// 0) they show how often jobs actually checkpoint.
+	CheckpointsSaved int64 `json:"checkpoints_saved"`
+	CheckpointBytes  int64 `json:"checkpoint_bytes"`
+
 	// JobsPerSec is this-boot completed jobs over this-boot uptime — the
 	// batch-throughput headline. Jobs restored from the journal do not
 	// move it.
@@ -238,21 +245,39 @@ type Snapshot struct {
 	TunedShapeMisses  map[string]int64 `json:"tuned_shape_misses,omitempty"`
 }
 
-// recordDone folds a finished job into the metrics. A cache hit counts as
-// a completion with its (near-zero) service latency, but its modeled
-// makespan is not re-added: the aggregate tracks work actually executed.
-func (s *Service) recordDone(j *Job, res *Result, cacheHit bool) {
-	st := j.Status()
-	makespan := res.Makespan
-	if cacheHit {
-		makespan = 0
-	}
+// recordFinish folds one terminal transition into the metrics; Job.finish
+// calls it exactly once per job. A worker-run job leaves the in-flight
+// gauge in the same critical section, so the accounting invariant
+// (submitted == terminal + queued + in flight) holds at every snapshot.
+// A cache hit counts as a completion with its (near-zero) service
+// latency, but its modeled makespan is not re-added: the aggregate tracks
+// work actually executed. Failed and canceled jobs record their wall time
+// in their outcome's latency stats, so overload outcomes show up in the
+// percentiles they are meant to protect.
+func (s *Service) recordFinish(j *Job, state State, res *Result, cacheHit bool, runMs float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.metrics.observe(st.RunMs, makespan)
-	if j.tuned != nil && !cacheHit {
-		s.metrics.tunedJobs++
-		s.metrics.tunedGain += j.tuned.Gain() * float64(res.Sweeps)
+	if j.inflight {
+		j.inflight = false
+		s.inflight--
+	}
+	switch state {
+	case StateDone:
+		makespan := res.Makespan
+		if cacheHit {
+			makespan = 0
+		}
+		s.metrics.observe(runMs, makespan)
+		if j.tuned != nil && !cacheHit {
+			s.metrics.tunedJobs++
+			s.metrics.tunedGain += j.tuned.Gain() * float64(res.Sweeps)
+		}
+	case StateFailed:
+		s.metrics.failed++
+		s.metrics.wall[outFailed].record(runMs)
+	case StateCanceled:
+		s.metrics.canceled++
+		s.metrics.wall[outCanceled].record(runMs)
 	}
 }
 
@@ -262,25 +287,6 @@ func (s *Service) recordLane(width int) {
 	defer s.mu.Unlock()
 	s.metrics.lanesDispatched++
 	s.metrics.laneJobs += int64(width)
-}
-
-// countFinish tallies a failed or canceled job, recording its wall time in
-// the outcome's latency stats so overload outcomes show up in the
-// percentiles they are meant to protect. Every terminal path that does not
-// go through recordDone must call it exactly once per job — execute,
-// executeLane, runLane, dropQueued, withdraw, shedding, and Close.
-func (s *Service) countFinish(j *Job, state State) {
-	runMs := j.Status().RunMs
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	switch state {
-	case StateFailed:
-		s.metrics.failed++
-		s.metrics.wall[outFailed].record(runMs)
-	case StateCanceled:
-		s.metrics.canceled++
-		s.metrics.wall[outCanceled].record(runMs)
-	}
 }
 
 // latencySnapshotLocked copies one outcome's stats out from under s.mu;
@@ -358,6 +364,7 @@ func (s *Service) Metrics() Snapshot {
 	snap.Latency = lat
 	snap.WallP50Ms = lat["done"].P50Ms
 	snap.WallP99Ms = lat["done"].P99Ms
+	snap.CheckpointsSaved, snap.CheckpointBytes = s.ckpt.counters()
 	snap.ScheduleCache = ordering.SweepCacheStats()
 	if s.tuner != nil {
 		// The registry keeps its own lock; read it outside s.mu.

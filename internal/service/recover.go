@@ -369,24 +369,30 @@ func slimSpec(r *recoveredJob) []byte {
 // ckptWriter persists a running job's sweep checkpoints off the solve's
 // critical path: the engine hook offers each checkpoint without blocking
 // (a newer one replaces an unwritten older one — the latest resume point
-// is the only one worth keeping), and a single goroutine writes them.
+// is the only one worth keeping), and a single goroutine writes them,
+// timing each save into the cadence estimate (cadence.go).
 // close drains the writer, so when it returns the last offered checkpoint
 // is on disk (or the store reported why not).
 type ckptWriter struct {
 	st   *store.Store
+	cost *ckptCost
 	id   string
+	size int64 // image bytes of every checkpoint of this job
 	ch   chan *engine.Checkpoint
 	done chan struct{}
 }
 
-func newCkptWriter(st *store.Store, id string) *ckptWriter {
-	w := &ckptWriter{st: st, id: id, ch: make(chan *engine.Checkpoint, 1), done: make(chan struct{})}
+func newCkptWriter(s *Service, id string, size int64) *ckptWriter {
+	w := &ckptWriter{st: s.cfg.Store, cost: &s.ckpt, id: id, size: size, ch: make(chan *engine.Checkpoint, 1), done: make(chan struct{})}
 	go func() {
 		defer close(w.done)
 		for ck := range w.ch {
+			start := time.Now()
 			if err := w.st.SaveCheckpoint(w.id, ck); err != nil {
 				fmt.Fprintf(os.Stderr, "service: job %s: checkpoint write failed: %v\n", w.id, err)
+				continue
 			}
+			w.cost.observeSave(w.size, time.Since(start))
 		}
 	}()
 	return w

@@ -165,10 +165,14 @@ type Config struct {
 	// with no persistence cost.
 	Store *store.Store
 	// CheckpointEvery is the sweep-boundary checkpoint cadence of running
-	// jobs when a Store is configured: 0 checkpoints every sweep, k > 0
-	// every k sweeps, negative disables checkpointing (crash recovery then
-	// restarts in-flight jobs from scratch). Pipelined and fixed-sweep
-	// jobs never checkpoint (the engine cannot cut those mid-run).
+	// jobs when a Store is configured: 0 picks it by cost per job (saves
+	// take at most 5% of the predicted solve time, from measured sweep and
+	// save times; every sweep until both are measured — see cadence.go),
+	// k > 0 checkpoints every k sweeps, negative disables checkpointing
+	// (crash recovery then restarts in-flight jobs from scratch).
+	// Pipelined, fixed-sweep and tuned jobs never checkpoint (the engine
+	// cannot cut those mid-run, or the resume point could not name its
+	// schedule).
 	CheckpointEvery int
 	// Tuner, when non-nil, is the tuned-schedule registry eligible jobs'
 	// execution plans are looked up in (see tuned.go and DESIGN.md §14).
@@ -290,7 +294,10 @@ type Service struct {
 	tuner *tuner.Registry
 
 	metrics metrics
-	wg      sync.WaitGroup
+	// ckpt holds the by-cost checkpoint cadence estimates and the
+	// checkpoint counters (cadence.go); it has its own lock.
+	ckpt ckptCost
+	wg   sync.WaitGroup
 	// subWG tracks durable submissions between their registration and the
 	// end of their journaling, so Close (and then the caller's
 	// store.Close) never races an in-flight append. Add happens under
@@ -642,7 +649,6 @@ func (s *Service) finishShed(j *Job) {
 	}
 	j.cancel(ErrShed)
 	j.finish(StateCanceled, nil, ErrShed, false)
-	s.countFinish(j, StateCanceled)
 }
 
 // enqueueLocked pushes a job into the priority queue, maintaining the
@@ -684,11 +690,10 @@ func (s *Service) withdraw(j *Job, cause error) {
 	}
 	s.mu.Unlock()
 	j.cancel(cause)
-	j.finish(StateCanceled, nil, cause, false)
-	// Withdrawn jobs were registered (Submitted counted them), so they
-	// must land in the canceled counter too — otherwise the snapshot
+	// Withdrawn jobs were registered (Submitted counted them), so finish
+	// lands them in the canceled counter too — otherwise the snapshot
 	// counters drift from the job-table states.
-	s.countFinish(j, StateCanceled)
+	j.finish(StateCanceled, nil, cause, false)
 }
 
 // persistSubmitted journals one accepted job (spec, key, resolved
@@ -777,7 +782,6 @@ func (s *Service) dropQueued(j *Job) {
 	s.mu.Unlock()
 	if removed {
 		j.finish(StateCanceled, nil, context.Cause(j.ctx), false)
-		s.countFinish(j, StateCanceled)
 	}
 }
 
@@ -923,7 +927,6 @@ func (s *Service) Close() {
 	for _, j := range append(drained, lent...) {
 		j.cancel(ErrShutdown)
 		j.finish(StateCanceled, nil, ErrShutdown, false)
-		s.countFinish(j, StateCanceled)
 	}
 	for _, j := range inflight {
 		j.cancel(ErrShutdown)
@@ -951,19 +954,24 @@ func (s *Service) worker() {
 		}
 		j := heap.Pop(&s.queue).(*Job)
 		s.noteDequeuedLocked(j)
-		s.inflight++
+		s.startLocked(j)
 		s.mu.Unlock()
 
+		// Every job a worker takes reaches finish, whose recordFinish
+		// releases its in-flight slot together with the terminal count.
 		if j.backend == BackendLane {
 			s.executeLane(s.gatherLane(j))
 		} else {
 			s.execute(j)
 		}
-
-		s.mu.Lock()
-		s.inflight--
-		s.mu.Unlock()
 	}
+}
+
+// startLocked counts a job a worker took off the queue as in flight until
+// recordFinish counts its terminal transition. Caller holds s.mu.
+func (s *Service) startLocked(j *Job) {
+	j.inflight = true
+	s.inflight++
 }
 
 // execute runs one dequeued job: cancellation check, cache lookup, solve,
@@ -971,7 +979,6 @@ func (s *Service) worker() {
 func (s *Service) execute(j *Job) {
 	if j.ctx.Err() != nil {
 		j.finish(StateCanceled, nil, context.Cause(j.ctx), false)
-		s.countFinish(j, StateCanceled)
 		return
 	}
 	if s.cfg.Store != nil {
@@ -987,7 +994,6 @@ func (s *Service) execute(j *Job) {
 		// consumer sees the same lifecycle shape (just without sweeps).
 		j.publish(Event{Type: EventStarted, State: StateRunning})
 		j.finish(StateDone, res, nil, true)
-		s.recordDone(j, res, true)
 		return
 	}
 
@@ -1001,25 +1007,29 @@ func (s *Service) execute(j *Job) {
 	switch {
 	case err != nil && j.ctx.Err() != nil:
 		j.finish(StateCanceled, nil, context.Cause(j.ctx), false)
-		s.countFinish(j, StateCanceled)
 	case err != nil:
 		j.finish(StateFailed, nil, err, false)
-		s.countFinish(j, StateFailed)
 	default:
 		s.cacheStore(j.fp, res)
 		j.finish(StateDone, res, nil, false)
-		s.recordDone(j, res, false)
 	}
 }
 
 // solve runs the job's problem on its resolved backend.
 func (s *Service) solve(j *Job) (*Result, error) {
+	j.mu.Lock()
+	spec := j.spec
+	j.mu.Unlock()
+	n := spec.Matrix.Rows
+	key := cadenceKey{backend: j.backend, dim: spec.Dim}
+	tick := s.sweepTimer(key, n)
 	h := RunHooks{
-		// Per-sweep progress feeds the job's event stream. The hook runs on
-		// node 0's goroutine inside the solve: publish never blocks (slow
-		// subscribers drop, see events.go), so the solver is never gated on
-		// a consumer.
+		// Per-sweep progress feeds the job's event stream and the sweep-time
+		// estimate. The hook runs on node 0's goroutine inside the solve:
+		// publish never blocks (slow subscribers drop, see events.go), so
+		// the solver is never gated on a consumer.
 		OnSweep: func(p engine.SweepProgress) {
+			tick()
 			j.publish(Event{Type: EventSweep, State: StateRunning, Sweep: &SweepEvent{
 				Sweep:     p.Sweep,
 				MaxRel:    p.MaxRel,
@@ -1034,19 +1044,17 @@ func (s *Service) solve(j *Job) (*Result, error) {
 	// schedule it was cut under, and finishing a tuned prefix with the
 	// default ordering would run a different computation than either plan
 	// promises. Recovery restarts them from sweep 0 instead (reattachTuned).
-	if s.cfg.Store != nil && s.cfg.CheckpointEvery >= 0 && j.tuned == nil {
+	if s.cfg.Store != nil && s.cfg.CheckpointEvery >= 0 && j.tuned == nil && !spec.Pipelined && spec.FixedSweeps == 0 {
 		// Persist a resume point at sweep boundaries. The engine hook hands
 		// the checkpoint to an asynchronous latest-wins writer, so the
 		// solve's critical path never waits on an fsync; the writer drains
 		// before the terminal record is journaled.
-		cw := newCkptWriter(s.cfg.Store, j.id)
+		cw := newCkptWriter(s, j.id, store.CheckpointSize(spec.Dim, n, n))
 		defer cw.close()
 		h.OnCheckpoint = cw.offer
-		h.CheckpointEvery = s.cfg.CheckpointEvery
+		h.CheckpointEvery = s.checkpointEvery(key, n)
+		j.setCheckpointEvery(h.CheckpointEvery)
 	}
-	j.mu.Lock()
-	spec := j.spec
-	j.mu.Unlock()
 	return RunSpec(j.ctx, spec, j.backend, h)
 }
 

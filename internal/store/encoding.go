@@ -239,42 +239,70 @@ func decodeRecord(payload []byte) (Record, error) {
 	return rec, nil
 }
 
+// ckptHeaderBytes is the fixed part of a checkpoint image: magic,
+// version, CRC, then the payload's version byte, four u32 dims, two u64
+// counters and the u32 slot count.
+const ckptHeaderBytes = 12 + 1 + 4*4 + 2*8 + 4
+
+// CheckpointSize is the exact file image size, in bytes, of a valid
+// checkpoint of the given shape: 2^(dim+1) slots holding factorRows
+// columns in all, each column rows+factorRows float64s plus its u32 index.
+// Callers use it to predict a save's cost before the checkpoint exists.
+func CheckpointSize(dim, rows, factorRows int) int64 {
+	slots := int64(2) << uint(dim)
+	return ckptHeaderBytes + 8*slots + int64(factorRows)*(4+8*int64(rows+factorRows))
+}
+
 // encodeCheckpoint serializes a checkpoint into the full file image
-// (magic, version, CRC, payload).
+// (magic, version, CRC, payload). The image length is computed first, so
+// the buffer is allocated exactly once and written in place.
 func encodeCheckpoint(ck *engine.Checkpoint) []byte {
-	fh := ck.FactorRows
-	//lint:allow boundeddecode encode side: ck is a live engine checkpoint, not wire input
-	payload := make([]byte, 0, 64+16*len(ck.Slots)*ck.Rows)
-	payload = append(payload, ckptVersion)
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(ck.Dim))
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(ck.Rows))
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(fh))
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(ck.Sweep))
-	payload = binary.LittleEndian.AppendUint64(payload, uint64(ck.Rotations))
-	payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(ck.TraceGram))
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(ck.Slots)))
+	size := ckptHeaderBytes
 	for _, b := range ck.Slots {
-		payload = binary.LittleEndian.AppendUint32(payload, uint32(b.ID))
-		payload = binary.LittleEndian.AppendUint32(payload, uint32(len(b.Cols)))
-		for _, c := range b.Cols {
-			payload = binary.LittleEndian.AppendUint32(payload, uint32(c))
-		}
+		size += 8 + 4*len(b.Cols)
 		for _, col := range b.A {
-			for _, v := range col {
-				payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(v))
-			}
+			size += 8 * len(col)
 		}
 		for _, col := range b.U {
-			for _, v := range col {
-				payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(v))
-			}
+			size += 8 * len(col)
 		}
 	}
-	out := make([]byte, 0, len(payload)+12)
-	out = append(out, ckptMagic...)
-	out = binary.LittleEndian.AppendUint32(out, fileVersion)
-	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, castagnoli))
-	return append(out, payload...)
+	le := binary.LittleEndian
+	//lint:allow boundeddecode encode side: size is measured from a live checkpoint, not read from wire input
+	out := make([]byte, size)
+	copy(out, ckptMagic)
+	le.PutUint32(out[4:], fileVersion)
+	out[12] = ckptVersion
+	le.PutUint32(out[13:], uint32(ck.Dim))
+	le.PutUint32(out[17:], uint32(ck.Rows))
+	le.PutUint32(out[21:], uint32(ck.FactorRows))
+	le.PutUint32(out[25:], uint32(ck.Sweep))
+	le.PutUint64(out[29:], uint64(ck.Rotations))
+	le.PutUint64(out[37:], math.Float64bits(ck.TraceGram))
+	le.PutUint32(out[45:], uint32(len(ck.Slots)))
+	off := ckptHeaderBytes
+	putCols := func(cols [][]float64) {
+		for _, col := range cols {
+			dst := out[off : off+8*len(col)]
+			for i, v := range col {
+				le.PutUint64(dst[8*i:], math.Float64bits(v))
+			}
+			off += len(dst)
+		}
+	}
+	for _, b := range ck.Slots {
+		le.PutUint32(out[off:], uint32(b.ID))
+		le.PutUint32(out[off+4:], uint32(len(b.Cols)))
+		off += 8
+		for _, c := range b.Cols {
+			le.PutUint32(out[off:], uint32(c))
+			off += 4
+		}
+		putCols(b.A)
+		putCols(b.U)
+	}
+	le.PutUint32(out[8:], crc32.Checksum(out[12:], castagnoli))
+	return out
 }
 
 // decodeCheckpoint parses a checkpoint file image. Structural validation

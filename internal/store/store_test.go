@@ -273,6 +273,27 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCheckpointEncodeSizedOnce: the encoder's image is exactly
+// CheckpointSize bytes, decodes back to an image-identical checkpoint,
+// and costs one allocation (the image itself).
+func TestCheckpointEncodeSizedOnce(t *testing.T) {
+	ck := testCheckpoint(t)
+	img := encodeCheckpoint(ck)
+	if want := CheckpointSize(ck.Dim, ck.Rows, ck.FactorRows); int64(len(img)) != want {
+		t.Fatalf("image is %d bytes, CheckpointSize says %d", len(img), want)
+	}
+	back, err := decodeCheckpoint(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encodeCheckpoint(back), img) {
+		t.Fatal("decoded checkpoint re-encodes to different bytes")
+	}
+	if allocs := testing.AllocsPerRun(20, func() { encodeCheckpoint(ck) }); allocs != 1 {
+		t.Fatalf("encodeCheckpoint made %v allocations, want 1", allocs)
+	}
+}
+
 // TestCheckpointCorruption: a flipped byte or truncation must error.
 func TestCheckpointCorruption(t *testing.T) {
 	dir := t.TempDir()
