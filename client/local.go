@@ -42,8 +42,9 @@ type LocalConfig struct {
 	// recovers finished results, re-enqueues queued jobs and resumes
 	// in-flight ones from their last checkpoint (see `jacobitool serve
 	// -data` and DESIGN.md §10). CheckpointEvery tunes the cadence:
-	// 0 = by cost (saves take at most 5% of the predicted solve time,
-	// every sweep until sweep and save times are measured), k > 0 = every
+	// 0 = by cost (saves take at most 5% of the predicted solve time, but
+	// at least one lands half way through a job; every sweep until a job
+	// of the same shape has measured sweep and save times), k > 0 = every
 	// k sweeps, negative = no checkpoints.
 	DataDir         string
 	CheckpointEvery int

@@ -43,7 +43,7 @@ func cmdServe(args []string) error {
 	shedHW := fs.Int("shed-high-water", 0, "queue depth at which lowest-priority queued jobs are shed (0 disables)")
 	drain := fs.Duration("drain", 10*time.Second, "graceful-shutdown deadline for in-flight requests")
 	dataDir := fs.String("data", "", "durable data directory (empty = in-memory only): journal + sweep checkpoints; a restart recovers and resumes jobs")
-	ckptEvery := fs.Int("checkpoint-every", 0, "sweep-checkpoint cadence with -data: 0 = by cost (saves take at most 5% of predicted solve time; every sweep until the first durable job has measured sweep and save times), k > 0 = every k sweeps, negative = no checkpoints")
+	ckptEvery := fs.Int("checkpoint-every", 0, "sweep-checkpoint cadence with -data: 0 = by cost (saves take at most 5% of predicted solve time, but at least one lands half way through a job; every sweep until a job of the same backend, dim and size has measured sweep and save times), k > 0 = every k sweeps, negative = no checkpoints")
 	noTuned := fs.Bool("no-tuned", false, "disable tuned-schedule auto-selection (jobs always run their spec's ordering verbatim)")
 	nodeID := fs.String("node-id", "", "this node's cluster ID (required with -cluster; must appear in the -cluster list)")
 	clusterSpec := fs.String("cluster", "", "static cluster membership as id=url,id=url,... (self included); enables sharded routing, work stealing and, with -data, journal-shipping replication")

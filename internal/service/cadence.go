@@ -10,22 +10,25 @@ import (
 
 // Checkpoint cadence by cost (DESIGN.md §10). With Config.CheckpointEvery
 // == 0 the service picks each durable job's cadence once, at job start,
-// from two measured estimates:
+// from three estimates kept per exact job shape (backend, dim, n):
 //
-//   - ŝ, the predicted sweep wall time: an EWMA of ns per pair-row per
-//     (backend, dim), fed by the gaps between a running job's sweep events
-//     and scaled by the job's n(n−1)/2 · (rows+factorRows);
+//   - ŝ, the predicted sweep wall time: an EWMA of a finished run's
+//     Result.WallMs / Result.Sweeps;
+//   - Ŝ, the predicted sweeps per run: an EWMA of Result.Sweeps;
 //   - δ̂, the predicted checkpoint cost: an EWMA of SaveCheckpoint wall
-//     time per image byte (encode, write, both fsyncs, the replication
-//     observer), scaled by the job's image size.
+//     time (encode, write, both fsyncs, the replication observer).
 //
-// every = max(1, ⌈δ̂ / (ckptOverhead·ŝ)⌉) is Young's first-order rule with
-// the save cost measured: saves take at most ckptOverhead of the
-// predicted solve time, and a crash loses at most every·ŝ ≤ δ̂/ckptOverhead
-// + ŝ of work. The engine receives a plain CheckpointEvery, so its
-// checkpoint predicate stays a pure function of the sweep number. Until
-// both estimates exist (a fresh process) jobs checkpoint every sweep, and
-// the first durable job calibrates the rest.
+// every = ⌈δ̂ / (ckptOverhead·ŝ)⌉ is Young's first-order rule with the save
+// cost measured: saves take at most ckptOverhead of the predicted solve
+// time, and a crash loses at most every·ŝ ≤ δ̂/ckptOverhead + ŝ of work.
+// The rule is capped at ⌈Ŝ/2⌉ so a job of the predicted length still
+// saves once, half way: δ̂ is sampled only when a job saves, and without
+// the cap one slow save could push every past every later job's length,
+// after which no save would ever bring the estimate back. The engine
+// receives a plain CheckpointEvery, so its checkpoint predicate stays a
+// pure function of the sweep number. A shape not yet measured (a fresh
+// process, or a new size) checkpoints every sweep; its first durable job
+// calibrates the rest.
 
 // ckptOverhead is the share of predicted solve time by-cost checkpointing
 // may spend on saves.
@@ -34,45 +37,41 @@ const ckptOverhead = 0.05
 // costAlpha is the EWMA weight of the newest cost sample.
 const costAlpha = 0.25
 
-// maxCadence caps the by-cost cadence so a degenerate estimate (a
-// near-zero sweep time) cannot overflow; no job runs that many sweeps.
-const maxCadence = 1 << 20
-
 // byCostEvery is the cadence rule: the checkpoint interval, in sweeps, for
-// a predicted sweep time and a predicted checkpoint cost (any common
-// unit). A missing estimate (<= 0) means cold start: every sweep.
-func byCostEvery(sweep, save float64) int {
-	if !(sweep > 0) || !(save > 0) {
+// a predicted sweep time and checkpoint cost (any common unit) and a
+// predicted number of sweeps per run. A missing estimate (<= 0) means
+// cold start: every sweep.
+func byCostEvery(sweep, save, sweeps float64) int {
+	if !(sweep > 0) || !(save > 0) || !(sweeps > 0) {
 		return 1
 	}
+	half := math.Ceil(sweeps / 2)
 	k := math.Ceil(save / (ckptOverhead * sweep))
-	if !(k < maxCadence) {
-		return maxCadence
+	if !(k < half) {
+		k = half
 	}
 	return max(1, int(k))
 }
 
-// pairRows is the work unit of one sweep of an n×n eigenproblem: n(n−1)/2
-// pairs, each rotating rows+factorRows = 2n entries per column.
-func pairRows(n int) float64 {
-	return float64(n) * float64(n-1) / 2 * float64(2*n)
-}
-
-// cadenceKey names one sweep-time estimate.
+// cadenceKey names one job shape the cadence estimates are kept for.
 type cadenceKey struct {
 	backend string
-	dim     int
+	dim, n  int
+}
+
+// shapeCost holds one shape's estimates (0 = no sample yet).
+type shapeCost struct {
+	sweepNs float64 // wall ns per sweep
+	sweeps  float64 // sweeps per run
+	saveNs  float64 // wall ns per SaveCheckpoint
 }
 
 // ckptCost holds the cadence estimates and the checkpoint counters.
 type ckptCost struct {
-	mu sync.Mutex
-	// sweepNs is ns per pair-row, per (backend, dim); saveNs is
-	// SaveCheckpoint ns per image byte (0 = no sample yet).
-	sweepNs map[cadenceKey]float64 // guarded by mu
-	saveNs  float64                // guarded by mu
-	saved   int64                  // guarded by mu
-	bytes   int64                  // guarded by mu
+	mu     sync.Mutex
+	shapes map[cadenceKey]shapeCost // guarded by mu
+	saved  int64                    // guarded by mu
+	bytes  int64                    // guarded by mu
 }
 
 // ewma folds a sample into an estimate (0 = none yet).
@@ -83,37 +82,48 @@ func ewma(old, sample float64) float64 {
 	return old + costAlpha*(sample-old)
 }
 
-// observeSweep records one measured sweep of an n×n job.
-func (c *ckptCost) observeSweep(k cadenceKey, n int, d time.Duration) {
-	if d <= 0 || n < 2 {
-		return
+// updateLocked applies f to k's estimates. Caller holds c.mu.
+func (c *ckptCost) updateLocked(k cadenceKey, f func(*shapeCost)) {
+	if c.shapes == nil {
+		c.shapes = make(map[cadenceKey]shapeCost)
 	}
-	ns := float64(d.Nanoseconds()) / pairRows(n)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.sweepNs == nil {
-		c.sweepNs = make(map[cadenceKey]float64)
-	}
-	c.sweepNs[k] = ewma(c.sweepNs[k], ns)
+	sc := c.shapes[k]
+	f(&sc)
+	c.shapes[k] = sc
 }
 
-// observeSave records one successful SaveCheckpoint of a size-byte image.
-func (c *ckptCost) observeSave(size int64, d time.Duration) {
+// observeRun records a finished, non-resumed run of shape k. Lane results
+// carry the lane's wall time, so a lane member that converged before its
+// mates overstates its sweep time, which errs towards saving more often.
+func (c *ckptCost) observeRun(k cadenceKey, res *Result) {
+	if res.Sweeps < 1 || !(res.WallMs > 0) {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.updateLocked(k, func(sc *shapeCost) {
+		sc.sweepNs = ewma(sc.sweepNs, res.WallMs*1e6/float64(res.Sweeps))
+		sc.sweeps = ewma(sc.sweeps, float64(res.Sweeps))
+	})
+}
+
+// observeSave records one successful SaveCheckpoint of a job of shape k.
+func (c *ckptCost) observeSave(k cadenceKey, d time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.saved++
-	c.bytes += size
-	if d > 0 && size > 0 {
-		c.saveNs = ewma(c.saveNs, float64(d.Nanoseconds())/float64(size))
+	c.bytes += k.imageSize()
+	if d > 0 {
+		c.updateLocked(k, func(sc *shapeCost) { sc.saveNs = ewma(sc.saveNs, float64(d.Nanoseconds())) })
 	}
 }
 
-// every picks the by-cost cadence of an n×n job on k.
-func (c *ckptCost) every(k cadenceKey, n int) int {
+// every picks the by-cost cadence of a job of shape k.
+func (c *ckptCost) every(k cadenceKey) int {
 	c.mu.Lock()
-	sweepNs, saveNs := c.sweepNs[k], c.saveNs
+	sc := c.shapes[k]
 	c.mu.Unlock()
-	return byCostEvery(sweepNs*pairRows(n), saveNs*float64(store.CheckpointSize(k.dim, n, n)))
+	return byCostEvery(sc.sweepNs, sc.saveNs, sc.sweeps)
 }
 
 // counters returns the checkpoints saved and their total image bytes.
@@ -123,30 +133,34 @@ func (c *ckptCost) counters() (saved, bytes int64) {
 	return c.saved, c.bytes
 }
 
-// checkpointEvery resolves the cadence a durable job runs under:
-// Config.CheckpointEvery when positive, by cost when 0.
-func (s *Service) checkpointEvery(k cadenceKey, n int) int {
+// checkpointable reports whether the engine can cut a run of spec at
+// sweep boundaries. Pipelined and fixed-sweep runs have none, and a tuned
+// run's checkpoint could not name the schedule it was cut under.
+func checkpointable(spec JobSpec, tuned bool) bool {
+	return !spec.Pipelined && spec.FixedSweeps == 0 && !tuned
+}
+
+// checkpoints reports whether a job's run persists checkpoints: a Store is
+// configured, checkpointing is not disabled, and the run is checkpointable.
+func (s *Service) checkpoints(spec JobSpec, tuned bool) bool {
+	return s.cfg.Store != nil && s.cfg.CheckpointEvery >= 0 && checkpointable(spec, tuned)
+}
+
+// checkpointEvery resolves the cadence a durable job of shape k runs
+// under: Config.CheckpointEvery when positive, by cost when 0.
+func (s *Service) checkpointEvery(k cadenceKey) int {
 	if s.cfg.CheckpointEvery > 0 {
 		return s.cfg.CheckpointEvery
 	}
-	return s.ckpt.every(k, n)
+	return s.ckpt.every(k)
 }
 
-// sweepTimer returns an OnSweep tap that feeds the gaps between a job's
-// consecutive sweep events into the sweep-time estimate (a no-op unless
-// the cadence is by cost). The first event has no predecessor (its gap
-// would include setup) and records nothing. It runs on the solve's sweep
-// goroutine and needs no locking of its own.
-func (s *Service) sweepTimer(k cadenceKey, n int) func() {
-	if s.cfg.Store == nil || s.cfg.CheckpointEvery != 0 {
-		return func() {}
-	}
-	var last time.Time
-	return func() {
-		now := time.Now()
-		if !last.IsZero() {
-			s.ckpt.observeSweep(k, n, now.Sub(last))
-		}
-		last = now
-	}
+// shapeOf is the cadence key of a job of spec run on backend.
+func shapeOf(backend string, spec JobSpec) cadenceKey {
+	return cadenceKey{backend: backend, dim: spec.Dim, n: spec.Matrix.Rows}
+}
+
+// imageSize is the byte size of every checkpoint image of shape k.
+func (k cadenceKey) imageSize() int64 {
+	return store.CheckpointSize(k.dim, k.n, k.n)
 }

@@ -5,39 +5,52 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/store"
 )
 
 // TestCheckpointCadenceRule pins the pure cadence function: cold start
-// checkpoints every sweep, and otherwise the chosen k keeps saves within
+// checkpoints every sweep; otherwise the chosen k keeps saves within
 // ckptOverhead of the predicted solve time and lost work within
-// save/ckptOverhead + one sweep.
+// save/ckptOverhead + one sweep, unless that would leave a run of the
+// predicted length no save, in which case it saves once half way.
 func TestCheckpointCadenceRule(t *testing.T) {
 	const ms = 1e6 // ns
 	for _, tc := range []struct {
-		name        string
-		sweep, save float64
-		want        int
+		name                string
+		sweep, save, sweeps float64
+		want                int
 	}{
-		{"cold: nothing measured", 0, 0, 1},
-		{"cold: no save measured", 20 * ms, 0, 1},
-		{"cold: no sweep measured", 0, 8 * ms, 1},
-		{"NaN estimate", math.NaN(), 8 * ms, 1},
-		{"remote-durable sizing", 21.8 * ms, 7.95 * ms, 8},
-		{"exact multiple", 20 * ms, 2 * ms, 2},
-		{"save far below 5% of a sweep", 20 * ms, 0.01 * ms, 1},
-		{"very long sweeps", 10_000 * ms, 8 * ms, 1},
-		{"very short sweeps", 0.001 * ms, 8 * ms, 160_000},
-		{"degenerate sweep", 1e-300, 8 * ms, maxCadence},
+		{"cold: nothing measured", 0, 0, 0, 1},
+		{"cold: no save measured", 20 * ms, 0, 13, 1},
+		{"cold: no sweep measured", 0, 8 * ms, 13, 1},
+		{"cold: no run measured", 20 * ms, 8 * ms, 0, 1},
+		{"NaN estimate", math.NaN(), 8 * ms, 13, 1},
+		{"remote-durable sizing, long run", 21.8 * ms, 7.95 * ms, 40, 8},
+		{"remote-durable sizing, 13-sweep run", 21.8 * ms, 7.95 * ms, 13, 7},
+		{"exact multiple", 20 * ms, 2 * ms, 40, 2},
+		{"save far below 5% of a sweep", 20 * ms, 0.01 * ms, 13, 1},
+		{"very long sweeps", 10_000 * ms, 8 * ms, 13, 1},
+		{"very short sweeps", 0.001 * ms, 8 * ms, 1e6, 160_000},
+		{"slow save: still once half way", 2 * ms, 100 * ms, 13, 7},
+		{"degenerate sweep", 1e-300, 8 * ms, 13, 7},
+		{"one-sweep runs", 20 * ms, 100 * ms, 1, 1},
 	} {
-		got := byCostEvery(tc.sweep, tc.save)
+		got := byCostEvery(tc.sweep, tc.save, tc.sweeps)
 		if got != tc.want {
-			t.Errorf("%s: byCostEvery(%g, %g) = %d, want %d", tc.name, tc.sweep, tc.save, got, tc.want)
+			t.Errorf("%s: byCostEvery(%g, %g, %g) = %d, want %d", tc.name, tc.sweep, tc.save, tc.sweeps, got, tc.want)
 		}
-		if !(tc.sweep > 0) || !(tc.save > 0) || got == maxCadence {
+		if !(tc.sweep > 0) || !(tc.save > 0) || !(tc.sweeps > 0) {
 			continue
+		}
+		half := int(math.Ceil(tc.sweeps / 2))
+		if got > half {
+			t.Errorf("%s: k=%d skips the save half way through a %g-sweep run", tc.name, got, tc.sweeps)
+		}
+		if got == half {
+			continue // capped: one save per run, whatever it costs
 		}
 		if got > 1 && tc.save/(float64(got)*tc.sweep) > ckptOverhead*(1+1e-12) {
 			t.Errorf("%s: k=%d spends %.3f of solve time on saves, bound %.2f", tc.name, got, tc.save/(float64(got)*tc.sweep), ckptOverhead)
@@ -48,19 +61,66 @@ func TestCheckpointCadenceRule(t *testing.T) {
 	}
 }
 
-// calibrate is the tests' seam into the cadence estimates: it installs a
-// sweep and save cost for k such that an n×n job picks cadence want.
-func calibrate(s *Service, k cadenceKey, n, want int) {
-	sweepNs := 1.0 // ns per pair-row
+// TestCheckpointCadenceEstimates pins the estimates behind the rule: they
+// are kept per exact shape, so one shape's samples never set another's
+// cadence, and a slow save cannot stop a shape from saving, so fresh save
+// samples bring its cadence back.
+func TestCheckpointCadenceEstimates(t *testing.T) {
+	const ms = time.Millisecond
+	small := cadenceKey{backend: BackendMulticore, dim: 3, n: 16}
+	large := cadenceKey{backend: BackendMulticore, dim: 3, n: 256}
+	var c ckptCost
+	// A small job: cheap sweeps, a save dominated by its fixed fsync cost.
+	c.observeRun(small, &Result{Sweeps: 6, WallMs: 0.6})
+	c.observeSave(small, 2*ms)
+	if got := c.every(large); got != 1 {
+		t.Fatalf("unmeasured n=256 shape picked cadence %d after an n=16 job, want 1 (cold)", got)
+	}
+	// The large shape's own costs: 20 ms sweeps, 1.5 ms saves, 13 sweeps.
+	c.observeRun(large, &Result{Sweeps: 13, WallMs: 260})
+	c.observeSave(large, 1500*time.Microsecond)
+	if got := c.every(large); got != 2 {
+		t.Fatalf("calibrated n=256 cadence %d, want 2", got)
+	}
+	c.observeSave(small, 500*ms)
+	if got := c.every(large); got != 2 {
+		t.Fatalf("a slow n=16 save moved the n=256 cadence to %d, want 2", got)
+	}
+	// One slow fsync caps the cadence at half the run, so the next job
+	// still saves; its fresh samples pull the estimate back.
+	c.observeSave(large, 100*ms)
+	if got := c.every(large); got != 7 {
+		t.Fatalf("after a slow save the n=256 cadence is %d, want 7 (half of 13 sweeps)", got)
+	}
+	for range 16 {
+		c.observeSave(large, 1500*time.Microsecond)
+	}
+	if got := c.every(large); got != 2 {
+		t.Fatalf("fresh 1.5 ms saves left the n=256 cadence at %d, want 2", got)
+	}
+	if saved, bytes := c.counters(); saved != 20 || bytes != 2*small.imageSize()+18*large.imageSize() {
+		t.Fatalf("counters %d saves / %d bytes", saved, bytes)
+	}
+}
+
+// calibrate is the tests' seam into the cadence estimates: it installs
+// costs for shape k such that, uncapped, its jobs pick cadence want, and
+// a predicted run length of sweeps.
+func calibrate(s *Service, k cadenceKey, want int, sweeps float64) {
+	const sweepNs = 1e6
 	// A save worth (want-0.5) sweep-overheads rounds up to want.
-	save := (float64(want) - 0.5) * ckptOverhead * sweepNs * pairRows(n)
+	saveNs := (float64(want) - 0.5) * ckptOverhead * sweepNs
 	s.ckpt.mu.Lock()
 	defer s.ckpt.mu.Unlock()
-	if s.ckpt.sweepNs == nil {
-		s.ckpt.sweepNs = make(map[cadenceKey]float64)
-	}
-	s.ckpt.sweepNs[k] = sweepNs
-	s.ckpt.saveNs = save / float64(store.CheckpointSize(k.dim, n, n))
+	s.ckpt.updateLocked(k, func(sc *shapeCost) {
+		*sc = shapeCost{sweepNs: sweepNs, sweeps: sweeps, saveNs: saveNs}
+	})
+}
+
+func shapeCosts(s *Service, k cadenceKey) shapeCost {
+	s.ckpt.mu.Lock()
+	defer s.ckpt.mu.Unlock()
+	return s.ckpt.shapes[k]
 }
 
 // savedSweeps records the sweep of every checkpoint a store persists.
@@ -87,12 +147,13 @@ func (w *savedSweeps) list() []int {
 
 // TestCheckpointCadenceByCost drives the default (CheckpointEvery == 0)
 // cadence through the service: a fresh service checkpoints every sweep, a
-// calibrated one saves only at multiples of the k it chose, and a kill at
-// a by-cost checkpoint resumes bit-identically to the uninterrupted run.
+// calibrated one saves only at multiples of the k it chose, a slow save
+// still leaves the next job one save half way, and a kill at a by-cost
+// checkpoint resumes bit-identically to the uninterrupted run.
 func TestCheckpointCadenceByCost(t *testing.T) {
 	const n = 32
 	spec := JobSpec{Matrix: randSym(n, 41), Dim: 2, Backend: BackendEmulated, Tol: 1e-300, MaxSweeps: 40}
-	key := cadenceKey{backend: BackendEmulated, dim: 2}
+	key := cadenceKey{backend: BackendEmulated, dim: 2, n: n}
 	ctx := context.Background()
 	control := func() *Result {
 		s := New(Config{Workers: 1})
@@ -133,10 +194,7 @@ func TestCheckpointCadenceByCost(t *testing.T) {
 			t.Fatalf("metrics report %d checkpoints / %d bytes, store saw %d", m.CheckpointsSaved, m.CheckpointBytes, len(got))
 		}
 		// The job calibrated the estimates for the next one.
-		s.ckpt.mu.Lock()
-		calibrated := s.ckpt.sweepNs[key] > 0 && s.ckpt.saveNs > 0
-		s.ckpt.mu.Unlock()
-		if !calibrated {
+		if sc := shapeCosts(s, key); !(sc.sweepNs > 0 && sc.sweeps > 0 && sc.saveNs > 0) {
 			t.Fatal("a finished durable job left the cadence uncalibrated")
 		}
 	})
@@ -147,7 +205,7 @@ func TestCheckpointCadenceByCost(t *testing.T) {
 		saves := watchSaves(st)
 		s := New(Config{Workers: 1, Store: st})
 		defer s.Close()
-		calibrate(s, key, n, 3)
+		calibrate(s, key, 3, 1000)
 		j, err := s.Submit(ctx, spec)
 		if err != nil {
 			t.Fatal(err)
@@ -170,11 +228,42 @@ func TestCheckpointCadenceByCost(t *testing.T) {
 		}
 	})
 
+	t.Run("slow save still saves half way", func(t *testing.T) {
+		st := openStore(t, t.TempDir())
+		defer st.Close()
+		saves := watchSaves(st)
+		s := New(Config{Workers: 1, Store: st, CacheCap: -1})
+		defer s.Close()
+		// Saves predicted at 1000 sweeps each: uncapped, no job would ever
+		// reach a boundary again, and the estimate would never be resampled.
+		calibrate(s, key, 1000, float64(control.Sweeps))
+		slow := shapeCosts(s, key).saveNs
+		half := (control.Sweeps + 1) / 2
+		for i := range 2 {
+			j, err := s.Submit(ctx, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := j.Wait(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if got := j.Status().CheckpointEvery; i == 0 && got != half {
+				t.Fatalf("job chose cadence %d, want %d (half of %d sweeps)", got, half, control.Sweeps)
+			}
+		}
+		if got := saves.list(); len(got) != 2 || got[0] != half || got[1] != half {
+			t.Fatalf("saved at sweeps %v, want one save at %d per job", got, half)
+		}
+		if fresh := shapeCosts(s, key).saveNs; !(fresh < slow) {
+			t.Fatalf("save estimate %g ns not refreshed below the slow %g ns", fresh, slow)
+		}
+	})
+
 	t.Run("kill at a by-cost checkpoint resumes bit-identically", func(t *testing.T) {
 		dir := t.TempDir()
 		st := openStore(t, dir)
 		s := New(Config{Workers: 1, Store: st})
-		calibrate(s, key, n, 4)
+		calibrate(s, key, 4, 1000)
 		j, err := s.Submit(ctx, spec)
 		if err != nil {
 			t.Fatal(err)

@@ -204,9 +204,6 @@ func (s *Service) runLane(jobs []*Job) {
 			prepErr = err
 			break
 		}
-		n := spec.Matrix.Rows
-		key := cadenceKey{backend: BackendLane, dim: spec0.Dim}
-		tick := s.sweepTimer(key, n)
 		lane[i] = &engine.LaneJob{
 			Blocks:      prob.Blocks,
 			Opts:        engine.Options{Tol: spec.Tol, MaxSweeps: spec.MaxSweeps},
@@ -215,7 +212,6 @@ func (s *Service) runLane(jobs []*Job) {
 			TraceGram:   prob.TraceGram,
 			Interrupt:   func() bool { return jj.ctx.Err() != nil },
 			OnSweep: func(p engine.SweepProgress) {
-				tick()
 				jj.publish(Event{Type: EventSweep, State: StateRunning, Sweep: &SweepEvent{
 					Sweep:     p.Sweep,
 					MaxRel:    p.MaxRel,
@@ -224,11 +220,11 @@ func (s *Service) runLane(jobs []*Job) {
 				}})
 			},
 		}
-		if s.cfg.Store != nil && s.cfg.CheckpointEvery >= 0 && spec.FixedSweeps == 0 {
-			w := newCkptWriter(s, j.id, store.CheckpointSize(spec0.Dim, n, n))
+		if s.checkpoints(spec, false) {
+			w := newCkptWriter(s, j.id, shapeOf(BackendLane, spec))
 			writers[i] = w
 			lane[i].OnCheckpoint = w.offer
-			lane[i].CheckpointEvery = s.checkpointEvery(key, n)
+			lane[i].CheckpointEvery = s.checkpointEvery(w.key)
 			j.setCheckpointEvery(lane[i].CheckpointEvery)
 		}
 	}
@@ -262,6 +258,9 @@ func (s *Service) runLane(jobs []*Job) {
 				Rotations:   eig.Rotations,
 				FinalMaxRel: eig.FinalMaxRel,
 				WallMs:      wallMs,
+			}
+			if w := writers[i]; w != nil {
+				s.ckpt.observeRun(w.key, res)
 			}
 			s.cacheStore(j.fp, res)
 			j.finish(StateDone, res, nil, false)

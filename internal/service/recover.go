@@ -377,13 +377,13 @@ type ckptWriter struct {
 	st   *store.Store
 	cost *ckptCost
 	id   string
-	size int64 // image bytes of every checkpoint of this job
+	key  cadenceKey // the job's shape
 	ch   chan *engine.Checkpoint
 	done chan struct{}
 }
 
-func newCkptWriter(s *Service, id string, size int64) *ckptWriter {
-	w := &ckptWriter{st: s.cfg.Store, cost: &s.ckpt, id: id, size: size, ch: make(chan *engine.Checkpoint, 1), done: make(chan struct{})}
+func newCkptWriter(s *Service, id string, key cadenceKey) *ckptWriter {
+	w := &ckptWriter{st: s.cfg.Store, cost: &s.ckpt, id: id, key: key, ch: make(chan *engine.Checkpoint, 1), done: make(chan struct{})}
 	go func() {
 		defer close(w.done)
 		for ck := range w.ch {
@@ -392,7 +392,7 @@ func newCkptWriter(s *Service, id string, size int64) *ckptWriter {
 				fmt.Fprintf(os.Stderr, "service: job %s: checkpoint write failed: %v\n", w.id, err)
 				continue
 			}
-			w.cost.observeSave(w.size, time.Since(start))
+			w.cost.observeSave(w.key, time.Since(start))
 		}
 	}()
 	return w

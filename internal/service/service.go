@@ -166,8 +166,9 @@ type Config struct {
 	Store *store.Store
 	// CheckpointEvery is the sweep-boundary checkpoint cadence of running
 	// jobs when a Store is configured: 0 picks it by cost per job (saves
-	// take at most 5% of the predicted solve time, from measured sweep and
-	// save times; every sweep until both are measured — see cadence.go),
+	// take at most 5% of the predicted solve time, but at least one lands
+	// half way through a job; from sweep and save times measured per job
+	// shape, every sweep until the shape is measured — see cadence.go),
 	// k > 0 checkpoints every k sweeps, negative disables checkpointing
 	// (crash recovery then restarts in-flight jobs from scratch).
 	// Pipelined, fixed-sweep and tuned jobs never checkpoint (the engine
@@ -1020,16 +1021,12 @@ func (s *Service) solve(j *Job) (*Result, error) {
 	j.mu.Lock()
 	spec := j.spec
 	j.mu.Unlock()
-	n := spec.Matrix.Rows
-	key := cadenceKey{backend: j.backend, dim: spec.Dim}
-	tick := s.sweepTimer(key, n)
 	h := RunHooks{
-		// Per-sweep progress feeds the job's event stream and the sweep-time
-		// estimate. The hook runs on node 0's goroutine inside the solve:
-		// publish never blocks (slow subscribers drop, see events.go), so
-		// the solver is never gated on a consumer.
+		// Per-sweep progress feeds the job's event stream. The hook runs on
+		// node 0's goroutine inside the solve: publish never blocks (slow
+		// subscribers drop, see events.go), so the solver is never gated on
+		// a consumer.
 		OnSweep: func(p engine.SweepProgress) {
-			tick()
 			j.publish(Event{Type: EventSweep, State: StateRunning, Sweep: &SweepEvent{
 				Sweep:     p.Sweep,
 				MaxRel:    p.MaxRel,
@@ -1044,18 +1041,23 @@ func (s *Service) solve(j *Job) (*Result, error) {
 	// schedule it was cut under, and finishing a tuned prefix with the
 	// default ordering would run a different computation than either plan
 	// promises. Recovery restarts them from sweep 0 instead (reattachTuned).
-	if s.cfg.Store != nil && s.cfg.CheckpointEvery >= 0 && j.tuned == nil && !spec.Pipelined && spec.FixedSweeps == 0 {
-		// Persist a resume point at sweep boundaries. The engine hook hands
-		// the checkpoint to an asynchronous latest-wins writer, so the
-		// solve's critical path never waits on an fsync; the writer drains
-		// before the terminal record is journaled.
-		cw := newCkptWriter(s, j.id, store.CheckpointSize(spec.Dim, n, n))
-		defer cw.close()
-		h.OnCheckpoint = cw.offer
-		h.CheckpointEvery = s.checkpointEvery(key, n)
-		j.setCheckpointEvery(h.CheckpointEvery)
+	if !s.checkpoints(spec, j.tuned != nil) {
+		return RunSpec(j.ctx, spec, j.backend, h)
 	}
-	return RunSpec(j.ctx, spec, j.backend, h)
+	// Persist a resume point at sweep boundaries. The engine hook hands the
+	// checkpoint to an asynchronous latest-wins writer, so the solve's
+	// critical path never waits on an fsync; the writer drains before the
+	// terminal record is journaled.
+	cw := newCkptWriter(s, j.id, shapeOf(j.backend, spec))
+	defer cw.close()
+	h.OnCheckpoint = cw.offer
+	h.CheckpointEvery = s.checkpointEvery(cw.key)
+	j.setCheckpointEvery(h.CheckpointEvery)
+	res, err := RunSpec(j.ctx, spec, j.backend, h)
+	if err == nil && h.Resume == nil {
+		s.ckpt.observeRun(cw.key, res)
+	}
+	return res, err
 }
 
 // RunHooks customizes one RunSpec execution. The zero value runs the spec
@@ -1065,8 +1067,9 @@ type RunHooks struct {
 	// solve (node 0's goroutine); it must not block.
 	OnSweep func(engine.SweepProgress)
 	// OnCheckpoint, when non-nil, receives sweep-boundary engine
-	// checkpoints every CheckpointEvery sweeps (0 = every sweep).
-	// Pipelined and fixed-sweep specs never checkpoint regardless.
+	// checkpoints every CheckpointEvery sweeps (0 = every sweep). Runs
+	// that are not checkpointable (pipelined, fixed-sweep or tuned) never
+	// checkpoint regardless.
 	OnCheckpoint    func(*engine.Checkpoint)
 	CheckpointEvery int
 	// Resume, when non-nil, restores the solve from a prior checkpoint
@@ -1132,7 +1135,7 @@ func RunSpec(ctx context.Context, spec JobSpec, backend string, h RunHooks) (*Re
 	prob.Pipelined = pipelined
 	prob.PipelineQ = pipelineQ
 	prob.PipelineTs, prob.PipelineTw, prob.PipelinePorts = spec.Ts, spec.Tw, int(mc.Ports)
-	if h.OnCheckpoint != nil && !pipelined && spec.FixedSweeps == 0 && h.Schedule == nil {
+	if h.OnCheckpoint != nil && checkpointable(spec, h.Schedule != nil) {
 		prob.OnCheckpoint = h.OnCheckpoint
 		prob.CheckpointEvery = h.CheckpointEvery
 	}
