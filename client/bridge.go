@@ -148,64 +148,6 @@ func FromServiceEvent(ev service.Event) Event {
 	return out
 }
 
-// FromServiceSnapshot lifts the metrics snapshot into the wire shape.
-func FromServiceSnapshot(m service.Snapshot) Metrics {
-	out := Metrics{
-		Workers:              m.Workers,
-		UptimeSec:            m.UptimeSec,
-		Submitted:            m.Submitted,
-		Completed:            m.Completed,
-		Failed:               m.Failed,
-		Canceled:             m.Canceled,
-		RecoveredDone:        m.RecoveredDone,
-		RecoveredFailed:      m.RecoveredFailed,
-		RecoveredCanceled:    m.RecoveredCanceled,
-		QuotaRejected:        m.QuotaRejected,
-		RateLimited:          m.RateLimited,
-		QueueFullRejected:    m.QueueFullRejected,
-		ShedJobs:             m.ShedJobs,
-		QueueDepth:           m.QueueDepth,
-		InFlight:             m.InFlight,
-		TenantQueued:         m.TenantQueued,
-		CacheHits:            m.CacheHits,
-		CacheSize:            m.CacheSize,
-		CacheEvictions:       m.CacheEvictions,
-		CacheBytes:           m.CacheBytes,
-		LanesDispatched:      m.LanesDispatched,
-		LaneJobs:             m.LaneJobs,
-		LaneFillRatio:        m.LaneFillRatio,
-		WallP50Ms:            m.WallP50Ms,
-		WallP99Ms:            m.WallP99Ms,
-		TotalModeledMakespan: m.TotalModeledMakespan,
-		JobsPerSec:           m.JobsPerSec,
-		CheckpointsSaved:     m.CheckpointsSaved,
-		CheckpointBytes:      m.CheckpointBytes,
-		ScheduleBuilds:       m.ScheduleCache.Builds,
-		ScheduleHits:         m.ScheduleCache.Hits,
-		TunedSchedules:       m.TunedSchedules,
-		TunedHits:            m.TunedHits,
-		TunedMisses:          m.TunedMisses,
-		TunedJobs:            m.TunedJobs,
-		TunedMakespanGain:    m.TunedMakespanGain,
-		TunedShapeHits:       m.TunedShapeHits,
-		TunedShapeMisses:     m.TunedShapeMisses,
-	}
-	if len(m.Latency) > 0 {
-		out.Latency = make(map[string]LatencyStats, len(m.Latency))
-		for outcome, st := range m.Latency {
-			out.Latency[outcome] = LatencyStats{
-				Count:        st.Count,
-				SumMs:        st.SumMs,
-				P50Ms:        st.P50Ms,
-				P99Ms:        st.P99Ms,
-				BucketMs:     st.BucketMs,
-				BucketCounts: st.BucketCounts,
-			}
-		}
-	}
-	return out
-}
-
 // FromServiceError maps a service failure to the typed *Error the wire
 // protocol serializes: spec validation failures keep their field, the
 // sentinel submission failures keep their code, everything else is

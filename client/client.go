@@ -26,6 +26,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 // Client is one connection to a batch-solve service, local or remote.
@@ -305,151 +307,11 @@ type JobPage struct {
 	NextCursor string `json:"next_cursor,omitempty"`
 }
 
-// LatencyStats is one terminal outcome's wall-time summary: total count
-// and sum, recent-window percentile estimates, and the cumulative
-// histogram (BucketCounts at each BucketMs upper bound, Prometheus `le`
-// semantics with Count as the implicit +Inf bucket).
-type LatencyStats struct {
-	Count        int64     `json:"count"`
-	SumMs        float64   `json:"sum_ms"`
-	P50Ms        float64   `json:"p50_ms"`
-	P99Ms        float64   `json:"p99_ms"`
-	BucketMs     []float64 `json:"bucket_ms"`
-	BucketCounts []int64   `json:"bucket_counts"`
-}
-
-// Metrics is the service's cumulative counter snapshot.
-type Metrics struct {
-	Workers   int     `json:"workers"`
-	UptimeSec float64 `json:"uptime_sec"`
-
-	// Submitted/Completed/Failed/Canceled count the server process's own
-	// admissions and terminal transitions this boot; terminal jobs restored
-	// from a durable journal at startup are reported in the Recovered*
-	// counters instead (so JobsPerSec never spikes after a restart).
-	Submitted int64 `json:"submitted"`
-	Completed int64 `json:"completed"`
-	Failed    int64 `json:"failed"`
-	Canceled  int64 `json:"canceled"`
-
-	RecoveredDone     int64 `json:"recovered_done,omitempty"`
-	RecoveredFailed   int64 `json:"recovered_failed,omitempty"`
-	RecoveredCanceled int64 `json:"recovered_canceled,omitempty"`
-
-	// Admission control: submissions refused by per-tenant quota, tenant
-	// rate limit or the global queue cap, and queued jobs canceled by
-	// priority-aware load shedding (ShedJobs is included in Canceled).
-	QuotaRejected     int64 `json:"quota_rejected"`
-	RateLimited       int64 `json:"rate_limited"`
-	QueueFullRejected int64 `json:"queue_full_rejected"`
-	ShedJobs          int64 `json:"shed_jobs"`
-
-	QueueDepth int `json:"queue_depth"`
-	InFlight   int `json:"in_flight"`
-
-	// TenantQueued gauges queued jobs per tenant ("default" is the empty
-	// tenant); tenants with nothing queued are omitted.
-	TenantQueued map[string]int `json:"tenant_queued,omitempty"`
-
-	CacheHits int64 `json:"cache_hits"`
-	CacheSize int   `json:"cache_size"`
-	// CacheEvictions / CacheBytes report the result cache's LRU pressure:
-	// entries dropped by the budgets and the estimated live payload.
-	CacheEvictions int64 `json:"cache_evictions"`
-	CacheBytes     int64 `json:"cache_bytes"`
-
-	// LanesDispatched / LaneJobs / LaneFillRatio report the batched solve
-	// lane: runs dispatched, jobs they carried, and carried jobs over lane
-	// capacity (1.0 = every lane ran full).
-	LanesDispatched int64   `json:"lanes_dispatched"`
-	LaneJobs        int64   `json:"lane_jobs"`
-	LaneFillRatio   float64 `json:"lane_fill_ratio"`
-
-	// WallP50Ms / WallP99Ms are percentiles of completed-job wall times
-	// over the service's recent-completion window (the done-outcome view).
-	WallP50Ms float64 `json:"wall_p50_ms"`
-	WallP99Ms float64 `json:"wall_p99_ms"`
-
-	// Latency maps terminal outcome ("done", "failed", "canceled") to its
-	// wall-time stats, so failed and canceled work is visible to the
-	// percentiles too.
-	Latency map[string]LatencyStats `json:"latency,omitempty"`
-
-	// TotalModeledMakespan accumulates every completed job's virtual-time
-	// makespan; JobsPerSec is completed jobs over uptime.
-	TotalModeledMakespan float64 `json:"total_modeled_makespan"`
-	JobsPerSec           float64 `json:"jobs_per_sec"`
-
-	// CheckpointsSaved counts the sweep checkpoints the server's running
-	// jobs wrote to its durable store this boot; CheckpointBytes is their total image
-	// size. Both stay zero without `serve -data`.
-	CheckpointsSaved int64 `json:"checkpoints_saved"`
-	CheckpointBytes  int64 `json:"checkpoint_bytes"`
-
-	// ScheduleBuilds / ScheduleHits report the process-wide sweep-schedule
-	// cache behind the service's solves.
-	ScheduleBuilds int64 `json:"schedule_builds"`
-	ScheduleHits   int64 `json:"schedule_hits"`
-
-	// Tuned-schedule registry: installed plans, lookup outcomes (overall
-	// and per shape key), jobs executed under a plan, and the analytic
-	// makespan those plans saved versus the unpipelined baseline.
-	TunedSchedules    int              `json:"tuned_schedules,omitempty"`
-	TunedHits         int64            `json:"tuned_hits,omitempty"`
-	TunedMisses       int64            `json:"tuned_misses,omitempty"`
-	TunedJobs         int64            `json:"tuned_jobs,omitempty"`
-	TunedMakespanGain float64          `json:"tuned_makespan_gain,omitempty"`
-	TunedShapeHits    map[string]int64 `json:"tuned_shape_hits,omitempty"`
-	TunedShapeMisses  map[string]int64 `json:"tuned_shape_misses,omitempty"`
-
-	// Cluster carries this node's routing/steal/replication counters when
-	// the server runs in cluster mode; nil on a standalone serve.
-	Cluster *ClusterMetrics `json:"cluster,omitempty"`
-}
-
-// ClusterMetrics is one cluster node's view of its own sharding activity.
-// Counters are per-node and cumulative for the process's life; the type
-// lives in the client package (not internal/cluster) so /api/v2/metrics
-// keeps its single-definition property — response bodies ARE client types.
-type ClusterMetrics struct {
-	NodeID string   `json:"node_id"`
-	Peers  []string `json:"peers"`
-	// Alive gauges how many peers the health prober currently sees alive
-	// (self excluded).
-	Alive int `json:"alive"`
-
-	// Routing: submissions and job lookups served locally vs proxied to
-	// the owning peer; ProxyErrors counts proxy attempts that fell back to
-	// local handling on a transport error.
-	RoutedLocal   int64 `json:"routed_local"`
-	RoutedProxied int64 `json:"routed_proxied"`
-	ProxyErrors   int64 `json:"proxy_errors"`
-
-	// Stealing, both directions: jobs this node took from peers
-	// (JobsStolen, with StolenCompleted/StolenReturned their outcomes) and
-	// jobs this node lent out (JobsLent).
-	StealAttempts   int64 `json:"steal_attempts"`
-	JobsStolen      int64 `json:"jobs_stolen"`
-	StolenCompleted int64 `json:"stolen_completed"`
-	StolenReturned  int64 `json:"stolen_returned"`
-	JobsLent        int64 `json:"jobs_lent"`
-
-	// Replication: journal records shipped to replicas and checkpoint
-	// images forwarded; ShipErrors counts failed deliveries (the shipper
-	// keeps going — a dead replica never blocks submits).
-	RecordsShipped  int64 `json:"records_shipped"`
-	ShipErrors      int64 `json:"ship_errors"`
-	CkptsShipped    int64 `json:"ckpts_shipped"`
-	CkptShipErrors  int64 `json:"ckpt_ship_errors"`
-	RecordsReceived int64 `json:"records_received"`
-
-	// Failover: peer deaths this node observed, adoptions it performed,
-	// and jobs those adoptions restored (terminal + live).
-	PeerDeaths  int64 `json:"peer_deaths"`
-	Adoptions   int64 `json:"adoptions"`
-	AdoptedJobs int64 `json:"adopted_jobs"`
-
-	// MembershipMismatch counts health responses whose peer set disagreed
-	// with this node's static configuration.
-	MembershipMismatch int64 `json:"membership_mismatch"`
-}
+// Metrics (the body of GET /api/v2/metrics), its per-outcome LatencyStats
+// and its cluster section are declared once, in internal/metrics, whose
+// struct tags also drive the server's Prometheus exposition.
+type (
+	Metrics        = metrics.Snapshot
+	LatencyStats   = metrics.LatencyStats
+	ClusterMetrics = metrics.ClusterMetrics
+)

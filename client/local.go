@@ -130,7 +130,7 @@ func (l *Local) Handle(id string) (JobHandle, bool) {
 
 // Metrics returns the service's cumulative counters.
 func (l *Local) Metrics(ctx context.Context) (*Metrics, error) {
-	m := FromServiceSnapshot(l.svc.Metrics())
+	m := l.svc.Metrics()
 	return &m, nil
 }
 

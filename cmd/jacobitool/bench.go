@@ -14,6 +14,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/kernel"
 	"repro/internal/matrix"
+	"repro/internal/metrics"
 	"repro/internal/ordering"
 	"repro/internal/service"
 	"repro/internal/tuner"
@@ -217,7 +218,7 @@ func cmdBench(args []string) error {
 		}
 		return specs
 	}
-	runBatch := func(cfg service.Config, backend string) (float64, service.Snapshot, error) {
+	runBatch := func(cfg service.Config, backend string) (float64, metrics.Snapshot, error) {
 		svc := service.New(cfg)
 		// Spec construction (random matrix generation) is benchmark setup,
 		// not service throughput — build outside the timed window.

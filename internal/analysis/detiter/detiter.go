@@ -1,9 +1,10 @@
 // Package detiter guards the determinism contracts of the schedule
-// pipeline (DESIGN.md §§8/14/15): in internal/ordering,
-// internal/sequence and internal/tuner, iteration over a map must not
-// feed order-sensitive state — Go randomizes map iteration order, so a
-// schedule, candidate list, fingerprint or float accumulation built
-// from one silently breaks the bit-identity and tuned-fingerprint
+// pipeline (DESIGN.md §§8/14/15) and of the metrics exposition: in
+// internal/ordering, internal/sequence, internal/tuner and
+// internal/metrics, iteration over a map must not feed order-sensitive
+// state — Go randomizes map iteration order, so a schedule, candidate
+// list, fingerprint, float accumulation or exposition built from one
+// silently breaks the bit-identity, tuned-fingerprint and sorted-output
 // guarantees.
 //
 // Flagged sinks inside a map-range body:
@@ -39,8 +40,8 @@ var Analyzer = &analysis.Analyzer{
 	Run:      run,
 }
 
-// Packages scopes the pass to the deterministic-schedule packages.
-var Packages = "ordering,sequence,tuner"
+// Packages scopes the pass to the deterministic-output packages.
+var Packages = "ordering,sequence,tuner,metrics"
 
 func init() {
 	Analyzer.Flags.StringVar(&Packages, "detpkgs", Packages,

@@ -159,7 +159,6 @@ func New(cfg Config) (*Node, error) {
 		return nil, fmt.Errorf("cluster: self %q not in the peer list", cfg.Self)
 	}
 	n.ring = NewRing(ids, cfg.VNodes)
-	n.ctr.nodeID = n.self.ID
 
 	if cfg.Store != nil {
 		n.ship = newShipper(n)

@@ -8,8 +8,8 @@ import (
 	"net/http"
 	"strings"
 
-	"repro/client"
 	"repro/internal/frame"
+	"repro/internal/metrics"
 )
 
 // The cluster HTTP surface: Handler wraps a node's local API handler
@@ -84,21 +84,19 @@ func (n *Node) Handler(api http.Handler) http.Handler {
 	mux.HandleFunc("GET /api/v2/jobs/{id}/events", byID)
 
 	// Metrics gain the per-node cluster section.
-	mux.HandleFunc("GET /api/v2/metrics", func(w http.ResponseWriter, r *http.Request) {
-		m := client.FromServiceSnapshot(n.cfg.Service.Metrics())
+	snapshot := func() metrics.Snapshot {
+		m := n.cfg.Service.Metrics()
 		m.Cluster = n.Metrics()
+		return m
+	}
+	mux.HandleFunc("GET /api/v2/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusOK)
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		_ = enc.Encode(m)
+		_ = enc.Encode(snapshot())
 	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		rec := newRecorder()
-		api.ServeHTTP(rec, r)
-		n.writeProm(rec.body)
-		rec.replay(w)
-	})
+	mux.HandleFunc("GET /metrics", metrics.Handler(snapshot))
 
 	// Everything else — listings and healthz — serves locally.
 	mux.Handle("/", api)

@@ -1,20 +1,16 @@
 package cluster
 
 import (
-	"fmt"
-	"io"
 	"sort"
 	"sync/atomic"
 
-	"repro/client"
+	"repro/internal/metrics"
 )
 
 // counters is the node's per-process activity account. Everything is an
 // atomic: steal workers, the shipper, the health prober and request
 // handlers all bump concurrently.
 type counters struct {
-	nodeID string
-
 	routedLocal   atomic.Int64
 	routedProxied atomic.Int64
 	proxyErrors   atomic.Int64
@@ -38,16 +34,16 @@ type counters struct {
 	membershipMismatch atomic.Int64
 }
 
-// Metrics snapshots the node's counters in the client wire shape (the
-// Cluster field of /api/v2/metrics).
-func (n *Node) Metrics() *client.ClusterMetrics {
+// Metrics snapshots the node's counters in the wire shape (the Cluster
+// field of /api/v2/metrics, exported to /metrics with a node label).
+func (n *Node) Metrics() *metrics.ClusterMetrics {
 	peers := make([]string, 0, len(n.peers))
 	for id := range n.peers {
 		peers = append(peers, id)
 	}
 	sort.Strings(peers)
-	m := &client.ClusterMetrics{
-		NodeID: n.ctr.nodeID,
+	m := &metrics.ClusterMetrics{
+		NodeID: n.self.ID,
 		Peers:  peers,
 		Alive:  n.aliveCount(),
 
@@ -74,34 +70,4 @@ func (n *Node) Metrics() *client.ClusterMetrics {
 		MembershipMismatch: n.ctr.membershipMismatch.Load(),
 	}
 	return m
-}
-
-// writeProm appends the node's counters in Prometheus text format, each
-// labeled with the node ID — the per-node routing/steal/replication series
-// GET /metrics exposes next to the service's own.
-func (n *Node) writeProm(w io.Writer) {
-	m := n.Metrics()
-	label := fmt.Sprintf("{node=%q}", m.NodeID)
-	emit := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP jacobi_cluster_%s %s\n# TYPE jacobi_cluster_%s counter\njacobi_cluster_%s%s %d\n",
-			name, help, name, name, label, v)
-	}
-	fmt.Fprintf(w, "# HELP jacobi_cluster_peers_alive Peers currently seen alive (self excluded).\n# TYPE jacobi_cluster_peers_alive gauge\njacobi_cluster_peers_alive%s %d\n", label, m.Alive)
-	emit("routed_local_total", "Requests served by this node.", m.RoutedLocal)
-	emit("routed_proxied_total", "Requests proxied to the owning peer.", m.RoutedProxied)
-	emit("proxy_errors_total", "Proxy attempts that fell back to local handling.", m.ProxyErrors)
-	emit("steal_attempts_total", "Steal rounds initiated by this node.", m.StealAttempts)
-	emit("jobs_stolen_total", "Jobs taken from peers.", m.JobsStolen)
-	emit("stolen_completed_total", "Stolen jobs completed and shipped back.", m.StolenCompleted)
-	emit("stolen_returned_total", "Stolen jobs handed back unexecuted.", m.StolenReturned)
-	emit("jobs_lent_total", "Queued jobs lent to stealing peers.", m.JobsLent)
-	emit("records_shipped_total", "Journal records replicated to successors.", m.RecordsShipped)
-	emit("ship_errors_total", "Failed shipment deliveries.", m.ShipErrors)
-	emit("ckpts_shipped_total", "Checkpoint images replicated.", m.CkptsShipped)
-	emit("ckpt_ship_errors_total", "Failed checkpoint deliveries.", m.CkptShipErrors)
-	emit("records_received_total", "Journal records received from peers.", m.RecordsReceived)
-	emit("peer_deaths_total", "Peers this node declared dead.", m.PeerDeaths)
-	emit("adoptions_total", "Dead-peer journals adopted.", m.Adoptions)
-	emit("adopted_jobs_total", "Jobs restored by adoptions.", m.AdoptedJobs)
-	emit("membership_mismatch_total", "Health responses with a divergent member set.", m.MembershipMismatch)
 }

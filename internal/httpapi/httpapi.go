@@ -43,6 +43,7 @@ import (
 
 	"repro/client"
 	"repro/internal/frame"
+	"repro/internal/metrics"
 	"repro/internal/service"
 )
 
@@ -170,10 +171,10 @@ func NewHandler(s *service.Service) http.Handler {
 		streamEvents(w, r, j)
 	})
 	mux.HandleFunc("GET /api/v2/metrics", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, client.FromServiceSnapshot(s.Metrics()))
+		writeJSON(w, http.StatusOK, s.Metrics())
 	})
-	// Prometheus text-format exposition of the same snapshot (see prom.go).
-	mux.HandleFunc("GET /metrics", promHandler(s))
+	// Prometheus text-format exposition of the same snapshot.
+	mux.HandleFunc("GET /metrics", metrics.Handler(s.Metrics))
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})

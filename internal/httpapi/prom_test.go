@@ -3,12 +3,14 @@ package httpapi_test
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/client"
+	"repro/internal/metrics"
 	"repro/internal/service"
 )
 
@@ -88,29 +90,23 @@ func TestPromMetricsAgreeWithSnapshot(t *testing.T) {
 	}
 	wg.Wait()
 
-	// Quiescent: exported samples must agree with the snapshot exactly.
+	// Quiescent: every tagged field's samples agree with the snapshot
+	// exactly, except the two clock-derived gauges, which move between
+	// the scrape and the snapshot and need only be present.
 	got := scrape()
 	snap := svc.Metrics()
-	want := map[string]float64{
-		"jacobi_jobs_submitted_total":                       float64(snap.Submitted),
-		"jacobi_jobs_completed_total":                       float64(snap.Completed),
-		"jacobi_jobs_failed_total":                          float64(snap.Failed),
-		"jacobi_jobs_canceled_total":                        float64(snap.Canceled),
-		"jacobi_jobs_shed_total":                            float64(snap.ShedJobs),
-		"jacobi_admission_rejected_total{reason=\"quota\"}": float64(snap.QuotaRejected),
-		"jacobi_queue_depth":                                float64(snap.QueueDepth),
-		"jacobi_inflight_jobs":                              float64(snap.InFlight),
-		"jacobi_workers":                                    float64(snap.Workers),
-		"jacobi_cache_hits_total":                           float64(snap.CacheHits),
-		"jacobi_jobs_recovered_total{outcome=\"done\"}":     float64(snap.RecoveredDone),
-		"jacobi_checkpoints_saved_total":                    float64(snap.CheckpointsSaved),
-		"jacobi_checkpoint_bytes_total":                     float64(snap.CheckpointBytes),
+	want := taggedSamples(snap)
+	if len(want) < 30 { // 33 scalar fields today; the maps are empty at quiescence
+		t.Fatalf("only %d tagged series in the snapshot", len(want))
 	}
 	for key, v := range want {
-		if _, ok := got[key]; !ok {
+		g, ok := got[key]
+		switch {
+		case !ok:
 			t.Errorf("%s missing from /metrics", key)
-		} else if got[key] != v {
-			t.Errorf("%s = %v, want %v (snapshot)", key, got[key], v)
+		case key == "jacobi_uptime_seconds" || key == "jacobi_jobs_per_sec":
+		case g != v:
+			t.Errorf("%s = %v, want %v (snapshot)", key, g, v)
 		}
 	}
 	if snap.Submitted != 40 || snap.Completed != 40 {
@@ -128,7 +124,7 @@ func TestPromMetricsAgreeWithSnapshot(t *testing.T) {
 	}
 	prev := 0.0
 	for i, le := range done.BucketMs {
-		key := fmt.Sprintf(`jacobi_job_wall_time_milliseconds_bucket{outcome="done",le=%q}`, trimFloat(le))
+		key := fmt.Sprintf(`jacobi_job_wall_time_milliseconds_bucket{outcome="done",le="%v"}`, le)
 		cur, ok := got[key]
 		if !ok {
 			t.Fatalf("missing bucket %s", key)
@@ -143,10 +139,46 @@ func TestPromMetricsAgreeWithSnapshot(t *testing.T) {
 	}
 }
 
-// trimFloat matches promFloat's rendering of bucket bounds.
-func trimFloat(v float64) string {
-	if v == float64(int64(v)) {
-		return strconv.FormatInt(int64(v), 10)
+// taggedSamples lists the counter and gauge series of every prom-tagged
+// field of s, keyed as the writer prints them (labels in tag order).
+// Histograms are checked separately.
+func taggedSamples(s metrics.Snapshot) map[string]float64 {
+	out := make(map[string]float64)
+	v := reflect.ValueOf(s)
+	for i := 0; i < v.NumField(); i++ {
+		parts := strings.Split(v.Type().Field(i).Tag.Get("prom"), ",")
+		if len(parts) < 2 || parts[1] == "histogram" {
+			continue
+		}
+		key := func(mapKey string) string {
+			var labels []string
+			for _, kv := range parts[2:] {
+				name, value, _ := strings.Cut(kv, "=")
+				if value == "*" {
+					value = mapKey
+				}
+				labels = append(labels, fmt.Sprintf("%s=%q", name, value))
+			}
+			if len(labels) == 0 {
+				return parts[0]
+			}
+			return parts[0] + "{" + strings.Join(labels, ",") + "}"
+		}
+		f := v.Field(i)
+		if f.Kind() == reflect.Map {
+			for _, k := range f.MapKeys() {
+				out[key(k.String())] = number(f.MapIndex(k))
+			}
+			continue
+		}
+		out[key("")] = number(f)
 	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
+	return out
+}
+
+func number(v reflect.Value) float64 {
+	if v.CanInt() {
+		return float64(v.Int())
+	}
+	return v.Float()
 }

@@ -3,8 +3,11 @@ package service
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 // slowSpec returns a job that holds a worker effectively forever (an
@@ -32,7 +35,7 @@ func waitInFlight(t *testing.T, s *Service, n int) {
 // boot's terminal transitions plus the jobs still live. Recovered jobs are
 // in neither side; withdrawn and shed jobs are in both (submitted and
 // canceled).
-func checkBalance(t *testing.T, m Snapshot) {
+func checkBalance(t *testing.T, m metrics.Snapshot) {
 	t.Helper()
 	if live := m.Submitted - m.Completed - m.Failed - m.Canceled; live != int64(m.QueueDepth+m.InFlight) {
 		t.Errorf("counter imbalance: %d submitted - %d done - %d failed - %d canceled = %d, but %d queued + %d in flight",
@@ -374,4 +377,37 @@ func TestFailedJobEntersLatencyStats(t *testing.T) {
 		t.Fatalf("failed=%d latency count=%d, want 1/1", m.Failed, m.Latency["failed"].Count)
 	}
 	checkBalance(t, m)
+}
+
+// TestMetricsSnapshotOwnsBuckets: a snapshot's histogram bounds are the
+// caller's copy. Overwriting them (as a client.Local caller may) must not
+// move the bounds later observations are bucketed by or later snapshots
+// report.
+func TestMetricsSnapshotOwnsBuckets(t *testing.T) {
+	s := New(Config{Workers: 1, CacheCap: -1})
+	defer s.Close()
+	run := func(seed int64) {
+		t.Helper()
+		j, err := s.Submit(context.Background(), JobSpec{Matrix: randSym(16, seed), Dim: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := j.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run(1)
+	first := s.Metrics().Latency["done"]
+	want := append([]float64(nil), first.BucketMs...)
+	for i := range first.BucketMs {
+		first.BucketMs[i] = -1
+	}
+	run(2)
+	done := s.Metrics().Latency["done"]
+	if !reflect.DeepEqual(done.BucketMs, want) {
+		t.Fatalf("bucket bounds after a caller's write = %v, want %v", done.BucketMs, want)
+	}
+	if done.Count != 2 || done.BucketCounts[len(done.BucketCounts)-1] != 2 {
+		t.Fatalf("count=%d cumulative=%v, want both observations bucketed", done.Count, done.BucketCounts)
+	}
 }

@@ -125,19 +125,19 @@ func (s *Service) Adopt(records []store.Record, loadCkpt func(id string) (*engin
 		}
 		switch r.state {
 		case StateDone:
-			s.metrics.recoveredDone++
+			s.metrics.RecoveredDone++
 			if res != nil {
-				s.metrics.totalMakespan += res.Makespan
+				s.metrics.TotalModeledMakespan += res.Makespan
 			}
 			stats.Terminal++
 		case StateFailed:
-			s.metrics.recoveredFailed++
+			s.metrics.RecoveredFailed++
 			stats.Terminal++
 		case StateCanceled:
-			s.metrics.recoveredCanceled++
+			s.metrics.RecoveredCanceled++
 			stats.Terminal++
 		case "":
-			s.metrics.submitted++
+			s.metrics.Submitted++
 			j.publish(Event{Type: EventQueued, State: StateQueued})
 			s.enqueueLocked(j)
 			stats.Live++

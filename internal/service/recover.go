@@ -172,16 +172,16 @@ func (s *Service) recover() {
 		// recovered terminals were counted by the boot that accepted them.
 		switch r.state {
 		case StateDone:
-			s.metrics.recoveredDone++
+			s.metrics.RecoveredDone++
 			if res != nil {
-				s.metrics.totalMakespan += res.Makespan
+				s.metrics.TotalModeledMakespan += res.Makespan
 			}
 		case StateFailed:
-			s.metrics.recoveredFailed++
+			s.metrics.RecoveredFailed++
 		case StateCanceled:
-			s.metrics.recoveredCanceled++
+			s.metrics.RecoveredCanceled++
 		case "":
-			s.metrics.submitted++
+			s.metrics.Submitted++
 			j.publish(Event{Type: EventQueued, State: StateQueued})
 			s.enqueueLocked(j)
 		}

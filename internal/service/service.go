@@ -294,7 +294,7 @@ type Service struct {
 	// set once in New (initTuner) and immutable afterwards.
 	tuner *tuner.Registry
 
-	metrics metrics
+	metrics counters
 	// ckpt holds the by-cost checkpoint cadence estimates and the
 	// checkpoint counters (cadence.go); it has its own lock.
 	ckpt ckptCost
@@ -462,7 +462,7 @@ func (s *Service) SubmitKeyed(ctx context.Context, key string, spec JobSpec) (*J
 		// could make room — the real shed (if any) happens at enqueue
 		// time, after the journal append, so a failed append never costs
 		// an innocent queued job.
-		s.metrics.queueFullRejected++
+		s.metrics.QueueFullRejected++
 		s.mu.Unlock()
 		cancel(nil)
 		return nil, false, fmt.Errorf("%w (%d jobs)", ErrQueueFull, s.cfg.QueueCap)
@@ -483,7 +483,7 @@ func (s *Service) SubmitKeyed(ctx context.Context, key string, spec JobSpec) (*J
 	// Submitted counts at registration, so a durable job withdrawn by a
 	// failed journal append still balances the books (it also lands in
 	// Canceled) and the counters always cover every registered job.
-	s.metrics.submitted++
+	s.metrics.Submitted++
 	if s.cfg.Store == nil {
 		// In-memory services enqueue atomically with the admission checks,
 		// exactly as before durability existed.
@@ -528,7 +528,7 @@ func (s *Service) SubmitKeyed(ctx context.Context, key string, spec JobSpec) (*J
 	// parallel, and both admissions must hold at enqueue time, not only at
 	// the earlier pre-journal check.
 	if s.cfg.TenantQueueQuota > 0 && s.tenantQueued[j.tenant] >= s.cfg.TenantQueueQuota {
-		s.metrics.quotaRejected++
+		s.metrics.QuotaRejected++
 		s.mu.Unlock()
 		err := fmt.Errorf("%w (tenant %q, %d queued)", ErrQuotaExceeded, j.tenant, s.cfg.TenantQueueQuota)
 		s.withdraw(j, err)
@@ -590,12 +590,12 @@ func (s *Service) admitTenantLocked(tenant string) error {
 			s.buckets[tenant] = b
 		}
 		if !b.take(time.Now(), s.cfg.TenantRate, s.cfg.TenantBurst) {
-			s.metrics.rateLimited++
+			s.metrics.RateLimited++
 			return fmt.Errorf("%w (tenant %q, %g/sec burst %d)", ErrRateLimited, tenant, s.cfg.TenantRate, s.cfg.TenantBurst)
 		}
 	}
 	if s.cfg.TenantQueueQuota > 0 && s.tenantQueued[tenant] >= s.cfg.TenantQueueQuota {
-		s.metrics.quotaRejected++
+		s.metrics.QuotaRejected++
 		return fmt.Errorf("%w (tenant %q, %d queued)", ErrQuotaExceeded, tenant, s.cfg.TenantQueueQuota)
 	}
 	return nil
@@ -611,11 +611,11 @@ func (s *Service) admitQueueLocked(prio Priority) (shed *Job, ok bool) {
 		if v := s.shedVictimLocked(prio); v >= 0 {
 			shed = heap.Remove(&s.queue, v).(*Job)
 			s.noteDequeuedLocked(shed)
-			s.metrics.shed++
+			s.metrics.ShedJobs++
 		}
 	}
 	if len(s.queue) >= s.cfg.QueueCap {
-		s.metrics.queueFullRejected++
+		s.metrics.QueueFullRejected++
 		return shed, false
 	}
 	return shed, true
@@ -1197,7 +1197,7 @@ func (s *Service) cacheLookup(fp uint64) (*Result, bool) {
 	elem, ok := s.cache[fp]
 	var res *Result
 	if ok {
-		s.metrics.cacheHits++
+		s.metrics.CacheHits++
 		s.cacheList.MoveToFront(elem)
 		res = elem.Value.(*cacheEntry).res
 	}
@@ -1240,6 +1240,6 @@ func (s *Service) cacheStore(fp uint64, res *Result) {
 		s.cacheList.Remove(back)
 		delete(s.cache, ent.fp)
 		s.cacheBytes -= ent.size
-		s.metrics.cacheEvictions++
+		s.metrics.CacheEvictions++
 	}
 }

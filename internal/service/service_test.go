@@ -497,7 +497,7 @@ func TestMetricsPercentiles(t *testing.T) {
 	if m.TotalModeledMakespan <= 0 {
 		t.Errorf("total modeled makespan %.3f, want > 0 (emulated jobs have a clock)", m.TotalModeledMakespan)
 	}
-	if m.ScheduleCache.Builds == 0 && m.ScheduleCache.Hits == 0 {
+	if m.ScheduleBuilds == 0 && m.ScheduleHits == 0 {
 		t.Error("schedule cache counters untouched by a batch of solves")
 	}
 }
