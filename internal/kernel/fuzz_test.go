@@ -135,3 +135,41 @@ func FuzzRotatePairFused(f *testing.F) {
 		}
 	})
 }
+
+// FuzzRotatePairRef drives the reference pair-rotation kernel against the
+// three-pass oracle (rotatePairThreePass) on fuzzer-chosen columns: the
+// working columns, the factor columns (of an independent height) and the
+// Conv tracker must match bit for bit, under every dispatch arm.
+func FuzzRotatePairRef(f *testing.F) {
+	f.Add(uint16(16), uint16(16), []byte{1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add(uint16(7), uint16(33), []byte{9, 8, 7, 6, 5})
+	f.Add(uint16(255), uint16(3), []byte{0, 0, 0, 0, 0, 0, 0, 0, 63, 0, 0, 0, 0, 0, 0, 0})
+	f.Add(uint16(3), uint16(1), []byte{})
+	f.Fuzz(func(t *testing.T, rawN, rawFM uint16, data []byte) {
+		n := int(rawN)%300 + 1
+		fm := int(rawFM)%300 + 1
+		cols := func(off, h int) []float64 {
+			c := make([]float64, h)
+			for k := range c {
+				idx := off + k
+				var v uint64
+				if len(data) > 0 {
+					for b := 0; b < 8; b++ {
+						v = v<<8 | uint64(data[(idx*8+b)%len(data)])
+					}
+				}
+				x := math.Float64frombits(v)
+				if math.IsNaN(x) || math.IsInf(x, 0) || math.Abs(x) > 1e100 {
+					x = float64(v%2048)/1024 - 1
+				}
+				c[k] = x
+			}
+			return c
+		}
+		ai, aj := cols(0, n), cols(n, n)
+		ui, uj := cols(2*n, fm), cols(2*n+fm, fm)
+		forEachArm(t, func(t *testing.T) {
+			checkAgainstThreePass(t, "fuzz", ai, aj, ui, uj, Conv{})
+		})
+	})
+}
