@@ -366,6 +366,7 @@ func BenchmarkTwoSidedReference(b *testing.B) {
 func benchmarkBackend512(b *testing.B, be engine.ExecBackend) {
 	rng := rand.New(rand.NewSource(512))
 	a := matrix.RandomSymmetric(512, rng)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		solveOn(b, a, 3, ordering.NewPermutedBRFamily(), 1, 0, be)

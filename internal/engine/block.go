@@ -150,7 +150,16 @@ func Gather(blocks []*Block, w, u *matrix.Dense) {
 // DecodeBlock reverses it. m is the working-column height, fm the factor
 // height (equal for the symmetric eigensolve; fm = cols for the SVD blocks).
 func EncodeBlock(b *Block, m, fm int) []float64 {
-	msg := make([]float64, 0, 2+len(b.Cols)*(m+fm+1))
+	return appendBlock(make([]float64, 0, encodedLen(b, m, fm)), b)
+}
+
+// encodedLen returns the size of b's encoding when its columns have heights
+// m and fm.
+func encodedLen(b *Block, m, fm int) int { return 2 + len(b.Cols)*(m+fm+1) }
+
+// appendBlock appends b's encoding to msg. With msg's capacity sized by
+// encodedLen it writes in place, without growing.
+func appendBlock(msg []float64, b *Block) []float64 {
 	msg = append(msg, float64(b.ID), float64(len(b.Cols)))
 	for k := range b.Cols {
 		msg = append(msg, float64(b.Cols[k]))
@@ -160,7 +169,10 @@ func EncodeBlock(b *Block, m, fm int) []float64 {
 	return msg
 }
 
-// DecodeBlock parses a message produced by EncodeBlock.
+// DecodeBlock parses a message produced by EncodeBlock. The returned
+// block's columns alias msg, which the caller hands over: the machine
+// transfers ownership of a received payload to its receiver, so decoding
+// copies nothing.
 func DecodeBlock(msg []float64, m, fm int) (*Block, error) {
 	b, rest, err := decodeBlockPrefix(msg, m, fm)
 	if err != nil {
@@ -174,47 +186,67 @@ func DecodeBlock(msg []float64, m, fm int) (*Block, error) {
 
 // decodeBlockPrefix parses one block from the front of msg, returning the
 // remainder — the sequential decoder behind DecodeBlock and DecodeBlocks.
+// Each column is a capacity-capped subslice of msg, so appending to one can
+// never overwrite its neighbor.
 func decodeBlockPrefix(msg []float64, m, fm int) (*Block, []float64, error) {
 	if len(msg) < 2 {
 		return nil, nil, fmt.Errorf("engine: block message too short (%d)", len(msg))
 	}
-	b := &Block{ID: int(msg[0])}
+	if m < 0 || fm < 0 {
+		return nil, nil, fmt.Errorf("engine: negative column height (%d, %d)", m, fm)
+	}
+	// Bound the column count by what the message can hold before
+	// multiplying, and compare as floats: a negative, NaN or huge header
+	// must neither wrap the length computation nor hit an
+	// implementation-defined float-to-int conversion.
+	stride := m + fm + 1
+	if hdr := msg[1]; !(hdr >= 0 && hdr <= float64((len(msg)-2)/stride)) {
+		return nil, nil, fmt.Errorf("engine: block message length %d cannot hold %g columns of %d values", len(msg), hdr, stride)
+	}
 	n := int(msg[1])
-	want := 2 + n*(m+fm+1)
-	if n < 0 || len(msg) < want {
-		return nil, nil, fmt.Errorf("engine: block message length %d, want at least %d", len(msg), want)
+	b := &Block{
+		ID:   int(msg[0]),
+		Cols: make([]int, n),
+		A:    make([][]float64, n),
+		U:    make([][]float64, n),
 	}
 	off := 2
 	for k := 0; k < n; k++ {
-		b.Cols = append(b.Cols, int(msg[off]))
+		b.Cols[k] = int(msg[off])
 		off++
-		ac := make([]float64, m)
-		copy(ac, msg[off:off+m])
+		b.A[k] = msg[off : off+m : off+m]
 		off += m
-		uc := make([]float64, fm)
-		copy(uc, msg[off:off+fm])
+		b.U[k] = msg[off : off+fm : off+fm]
 		off += fm
-		b.A = append(b.A, ac)
-		b.U = append(b.U, uc)
 	}
-	return b, msg[want:], nil
+	return b, msg[off:], nil
 }
 
 // EncodeBlocks concatenates several blocks into one combined message — the
 // "message combining" of the pipelined CC-cube, where packets sharing a link
-// within a stage travel as one message.
+// within a stage travel as one message. Every block is written straight
+// into one buffer of the exact combined size.
 func EncodeBlocks(blocks []*Block, m, fm int) []float64 {
-	msg := []float64{float64(len(blocks))}
+	size := 1
 	for _, b := range blocks {
-		msg = append(msg, EncodeBlock(b, m, fm)...)
+		size += encodedLen(b, m, fm)
+	}
+	msg := append(make([]float64, 0, size), float64(len(blocks)))
+	for _, b := range blocks {
+		msg = appendBlock(msg, b)
 	}
 	return msg
 }
 
-// DecodeBlocks parses a combined message produced by EncodeBlocks.
+// DecodeBlocks parses a combined message produced by EncodeBlocks. Like
+// DecodeBlock, the blocks' columns alias msg.
 func DecodeBlocks(msg []float64, m, fm int) ([]*Block, error) {
 	if len(msg) < 1 {
 		return nil, fmt.Errorf("engine: empty combined message")
+	}
+	// Every part carries at least its two-value header.
+	if hdr := msg[0]; !(hdr >= 0 && hdr <= float64((len(msg)-1)/2)) {
+		return nil, fmt.Errorf("engine: combined message length %d cannot hold %g parts", len(msg), hdr)
 	}
 	n := int(msg[0])
 	rest := msg[1:]

@@ -331,21 +331,53 @@ func TestScratchGrowsAndReuses(t *testing.T) {
 	}
 }
 
-// TestApplyLengthMismatchPanics pins the chosen contract of
-// Rotation.Apply: columns of unequal length panic up front, before any
-// element is mutated.
+// TestApplyLengthMismatchPanics pins the chosen contract of Rotation.Apply
+// and RotatePairRef: columns of unequal length (in the working pair or in
+// the factor pair, shorter or longer) panic up front, before any element or
+// the Conv tracker is mutated. applyPair alone would rotate only a prefix
+// of a longer second column.
 func TestApplyLengthMismatchPanics(t *testing.T) {
-	r := Rotation{C: 0.6, S: 0.8}
-	x := []float64{1, 2, 3}
-	y := []float64{4, 5}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Apply on unequal lengths did not panic")
+	// ramp returns a column of height n with entries start, start+1, ...
+	ramp := func(n int, start float64) []float64 {
+		c := make([]float64, n)
+		for k := range c {
+			c[k] = start + float64(k)
 		}
-		// Nothing was mutated before the panic.
-		if x[0] != 1 || x[1] != 2 || x[2] != 3 || y[0] != 4 || y[1] != 5 {
-			t.Errorf("Apply mutated columns before panicking: x=%v y=%v", x, y)
-		}
-	}()
-	r.Apply(x, y)
+		return c
+	}
+	// Every case is a non-orthogonal working pair, so a kernel that got
+	// past the length check would rotate it.
+	cases := []struct {
+		name           string
+		ai, aj, ui, uj []float64
+		call           func(ai, aj, ui, uj []float64, conv *Conv)
+	}{
+		{"Apply", ramp(3, 1), ramp(2, 4), nil, nil,
+			func(ai, aj, _, _ []float64, _ *Conv) { Rotation{C: 0.6, S: 0.8}.Apply(ai, aj) }},
+		{"RotatePairRef/working-short", ramp(20, 1), ramp(19, 3), ramp(20, 0), ramp(20, 2), RotatePairRef},
+		{"RotatePairRef/working-long", ramp(20, 1), ramp(24, 3), ramp(20, 0), ramp(20, 2), RotatePairRef},
+		{"RotatePairRef/factor-short", ramp(20, 1), ramp(20, 3), ramp(20, 0), ramp(17, 2), RotatePairRef},
+		{"RotatePairRef/factor-long", ramp(20, 1), ramp(20, 3), ramp(20, 0), ramp(24, 2), RotatePairRef},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cp := func(c []float64) []float64 { return append([]float64(nil), c...) }
+			ai, aj, ui, uj := cp(tc.ai), cp(tc.aj), cp(tc.ui), cp(tc.uj)
+			conv := Conv{MaxRel: 0.5, OffSq: 2, Rotations: 3, Pairs: 4}
+			want := conv
+			defer func() {
+				if recover() == nil {
+					t.Fatal("unequal lengths did not panic")
+				}
+				// Nothing was mutated before the panic.
+				if !sameBits(ai, tc.ai) || !sameBits(aj, tc.aj) || !sameBits(ui, tc.ui) || !sameBits(uj, tc.uj) {
+					t.Errorf("columns mutated before panicking: ai=%v aj=%v ui=%v uj=%v", ai, aj, ui, uj)
+				}
+				if conv != want {
+					t.Errorf("Conv mutated before panicking: %+v", conv)
+				}
+			}()
+			tc.call(ai, aj, ui, uj, &conv)
+		})
+	}
 }
