@@ -192,9 +192,6 @@ func decodeBlockPrefix(msg []float64, m, fm int) (*Block, []float64, error) {
 	if len(msg) < 2 {
 		return nil, nil, fmt.Errorf("engine: block message too short (%d)", len(msg))
 	}
-	if m < 0 || fm < 0 {
-		return nil, nil, fmt.Errorf("engine: negative column height (%d, %d)", m, fm)
-	}
 	// Bound the column count by what the message can hold before
 	// multiplying, and compare as floats: a negative, NaN or huge header
 	// must neither wrap the length computation nor hit an

@@ -5,9 +5,10 @@ import (
 )
 
 // The compute primitives live in internal/kernel, which provides both the
-// retained unfused reference path (bit-for-bit the original numerics — what
-// the emulated and analytic backends and the sequential replays run) and
-// the fused blocked path the multicore backend runs (see the kernel package
+// reference path (bit for bit the original three-dot, two-application
+// numerics, run as one Gram pass and two vectorized applications — what the
+// emulated and analytic backends and the sequential replays run) and the
+// fused blocked path the multicore backend runs (see the kernel package
 // comment for the layering and the documented ulp bound). The engine
 // re-exports the shared types so existing callers and tests keep working.
 

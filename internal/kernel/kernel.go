@@ -2,13 +2,18 @@
 // plane-rotation primitives every solver flavor and execution backend runs
 // on. It provides two implementations of the same mathematics:
 //
-//   - The reference path (RotatePairRef, Rotation.Apply): the textbook
-//     formulation — three separate Gram dot products followed by two
-//     rotation applications, five passes over the column pair. It is kept
-//     deliberately naive: its correctness is visible by inspection, it is
-//     bit-for-bit the numerics of the repository's original solvers (so the
-//     paper's experiments stay reproducible), and it is the yardstick the
-//     differential test suite measures the fused path against.
+//   - The reference path (GramRef, RotatePairRef): bit for bit the
+//     numerics of the repository's original solvers, so the paper's
+//     experiments stay reproducible, and the yardstick the differential
+//     test suite measures the fused path against. Those numerics are
+//     defined by the textbook formulation — three single-accumulator Gram
+//     dot products, then Rotation.Apply on the working pair and on the
+//     factor pair — but the kernel runs them in two passes: one Gram loop
+//     with three independent accumulators, each summed left to right from
+//     0 (the same products in the same per-sum order), and one vectorized
+//     application per pair through applyPair, which performs the same
+//     per-element arithmetic with no FMA. ref.go states the argument; a
+//     three-pass oracle and golden solves pin it.
 //
 //   - The fused path (Scratch.Within, Scratch.Cross, RotatePairFused): a
 //     blocked, zero-allocation formulation that streams each column pair
@@ -84,6 +89,8 @@ func ComputeRotation(alpha, beta, gamma float64) Rotation {
 //
 //	x' = c·x - s·y,  y' = s·x + c·y
 //
+// It is the scalar definition of the rotation application: the kernels
+// apply rotations through applyPair, which is pinned bit-identical to it.
 // The two columns must have equal length: rotating a prefix of one column
 // against another is never meaningful, and the original implementation
 // would have mutated a prefix of the pair before hitting the mismatch.

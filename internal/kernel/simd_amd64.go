@@ -1,19 +1,22 @@
 package kernel
 
-// SIMD dispatch for the fused path on amd64: when the host has AVX2 and FMA
-// (and the OS saves YMM state), the fused kernels run the hand-written
-// vector routines in simd_amd64.s over the 4-aligned prefix and finish the
-// tail in Go; otherwise they fall back to the portable generic loops. The
-// reference path (ref.go, Rotation.Apply) never dispatches — it stays the
-// portable, bit-for-bit reproducible yardstick on every host.
+// SIMD dispatch on amd64: when the host has AVX2 and FMA (and the OS saves
+// YMM state), the kernels run the hand-written vector routines in
+// simd_amd64.s over the 4-aligned prefix and finish the tail in Go;
+// otherwise they fall back to the portable generic loops. The reference
+// path dispatches only the rotation application (applyPair), whose vector
+// arm performs exactly the scalar per-element arithmetic with no FMA, so
+// the reference results are bit for bit the same on every host and arm.
+// Its Gram sums (GramRef) stay scalar: each is one left-to-right
+// accumulator chain by definition.
 //
-// The vector accumulators are one more reassociation of the same products
-// (four lanes + one horizontal reduction, FMA in the accumulation), still
-// covered by the package's documented ulp bound; the differential suite
-// exercises both dispatch arms. Fused results are deterministic for a given
-// host but may differ across hosts with different SIMD features — one more
-// reason the clocked backends, whose results the paper's experiments
-// compare, stay on the reference path.
+// The fused path's vector accumulators are one more reassociation of the
+// same products (four lanes + one horizontal reduction, FMA in the
+// accumulation), still covered by the package's documented ulp bound; the
+// differential suite exercises both dispatch arms. Fused results are
+// deterministic for a given host but may differ across hosts with different
+// SIMD features — one more reason the clocked backends, whose results the
+// paper's experiments compare, stay on the reference path.
 
 // Implemented in simd_amd64.s.
 func cpuidex(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
