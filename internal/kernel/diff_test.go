@@ -10,8 +10,8 @@ import (
 // The reference-kernel differential suite: every fused kernel against the
 // reference path, across column heights n = 4..512 (odd and even, including
 // non-multiples of the vector width), under the package's documented ulp
-// budgets. On amd64 every case runs both dispatch arms
-// (vector and generic) by toggling useAVX.
+// budgets. On amd64 every case runs both dispatch arms (vector and generic)
+// by toggling useAVX.
 
 // diffHeights is the shape sweep: powers of two to 512 plus odd and
 // off-by-one heights that exercise the scalar tails.

@@ -5,6 +5,29 @@ import (
 	"testing"
 )
 
+// fuzzCol decodes a height-n column from the fuzzer's bytes: value k is the
+// big-endian uint64 at byte (off+k)·8, wrapping around data (all zeros when
+// data is empty), with NaN, ±Inf and magnitudes above 1e100 replaced by a
+// value in [-1, 1).
+func fuzzCol(data []byte, off, n int) []float64 {
+	c := make([]float64, n)
+	for k := range c {
+		idx := off + k
+		var v uint64
+		if len(data) > 0 {
+			for b := 0; b < 8; b++ {
+				v = v<<8 | uint64(data[(idx*8+b)%len(data)])
+			}
+		}
+		x := math.Float64frombits(v)
+		if math.IsNaN(x) || math.IsInf(x, 0) || math.Abs(x) > 1e100 {
+			x = float64(v%2048)/1024 - 1
+		}
+		c[k] = x
+	}
+	return c
+}
+
 // FuzzRotatePairFused drives the fused pair-rotation kernel against the
 // retained reference implementation on fuzzer-chosen columns. The corpus
 // bytes decode to a column height (forcing both SIMD and tail code paths)
@@ -32,25 +55,7 @@ func FuzzRotatePairFused(f *testing.F) {
 	f.Add(uint8(3), []byte{})
 	f.Fuzz(func(t *testing.T, rawN uint8, data []byte) {
 		n := int(rawN)%64 + 1
-		cols := func(off int) []float64 {
-			c := make([]float64, n)
-			for k := range c {
-				idx := off + k
-				var v uint64
-				if len(data) > 0 {
-					for b := 0; b < 8; b++ {
-						v = v<<8 | uint64(data[(idx*8+b)%len(data)])
-					}
-				}
-				x := math.Float64frombits(v)
-				if math.IsNaN(x) || math.IsInf(x, 0) || math.Abs(x) > 1e100 {
-					x = float64(v%2048)/1024 - 1
-				}
-				c[k] = x
-			}
-			return c
-		}
-		aiR, ajR := cols(0), cols(1)
+		aiR, ajR := fuzzCol(data, 0, n), fuzzCol(data, 1, n)
 		uiR := make([]float64, n)
 		ujR := make([]float64, n)
 		uiR[0] = 1
@@ -148,26 +153,8 @@ func FuzzRotatePairRef(f *testing.F) {
 	f.Fuzz(func(t *testing.T, rawN, rawFM uint16, data []byte) {
 		n := int(rawN)%300 + 1
 		fm := int(rawFM)%300 + 1
-		cols := func(off, h int) []float64 {
-			c := make([]float64, h)
-			for k := range c {
-				idx := off + k
-				var v uint64
-				if len(data) > 0 {
-					for b := 0; b < 8; b++ {
-						v = v<<8 | uint64(data[(idx*8+b)%len(data)])
-					}
-				}
-				x := math.Float64frombits(v)
-				if math.IsNaN(x) || math.IsInf(x, 0) || math.Abs(x) > 1e100 {
-					x = float64(v%2048)/1024 - 1
-				}
-				c[k] = x
-			}
-			return c
-		}
-		ai, aj := cols(0, n), cols(n, n)
-		ui, uj := cols(2*n, fm), cols(2*n+fm, fm)
+		ai, aj := fuzzCol(data, 0, n), fuzzCol(data, n, n)
+		ui, uj := fuzzCol(data, 2*n, fm), fuzzCol(data, 2*n+fm, fm)
 		forEachArm(t, func(t *testing.T) {
 			checkAgainstThreePass(t, "fuzz", ai, aj, ui, uj, Conv{})
 		})

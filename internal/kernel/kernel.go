@@ -3,17 +3,13 @@
 // on. It provides two implementations of the same mathematics:
 //
 //   - The reference path (GramRef, RotatePairRef): bit for bit the
-//     numerics of the repository's original solvers, so the paper's
-//     experiments stay reproducible, and the yardstick the differential
-//     test suite measures the fused path against. Those numerics are
-//     defined by the textbook formulation — three single-accumulator Gram
-//     dot products, then Rotation.Apply on the working pair and on the
-//     factor pair — but the kernel runs them in two passes: one Gram loop
-//     with three independent accumulators, each summed left to right from
-//     0 (the same products in the same per-sum order), and one vectorized
-//     application per pair through applyPair, which performs the same
-//     per-element arithmetic with no FMA. ref.go states the argument; a
-//     three-pass oracle and golden solves pin it.
+//     numerics of the repository's original solvers — three
+//     single-accumulator Gram dot products, then Rotation.Apply on the
+//     working pair and on the factor pair — so the paper's experiments stay
+//     reproducible, and the yardstick the differential test suite measures
+//     the fused path against. It computes those numerics in two passes, one
+//     Gram loop and one vectorized application per pair; ref.go gives the
+//     bit-exactness argument.
 //
 //   - The fused path (Scratch.Within, Scratch.Cross, RotatePairFused): a
 //     blocked, zero-allocation formulation that streams each column pair
