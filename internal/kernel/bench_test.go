@@ -63,44 +63,48 @@ func BenchmarkCrossRef512(b *testing.B) {
 }
 
 func BenchmarkCrossFused512(b *testing.B) {
-	xa0, xu0 := benchCols(32, 512, 512, 1)
-	ya0, yu0 := benchCols(32, 512, 512, 2)
-	xa, xu := benchCols(32, 512, 512, 1)
-	ya, yu := benchCols(32, 512, 512, 2)
-	var sc Scratch
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		restore(xa, xa0)
-		restore(ya, ya0)
-		restore(xu, xu0)
-		restore(yu, yu0)
-		b.StartTimer()
-		var conv Conv
-		sc.Cross(xa, xu, ya, yu, &conv)
-	}
+	forEachArm(b, func(b *testing.B) {
+		xa0, xu0 := benchCols(32, 512, 512, 1)
+		ya0, yu0 := benchCols(32, 512, 512, 2)
+		xa, xu := benchCols(32, 512, 512, 1)
+		ya, yu := benchCols(32, 512, 512, 2)
+		var sc Scratch
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			restore(xa, xa0)
+			restore(ya, ya0)
+			restore(xu, xu0)
+			restore(yu, yu0)
+			b.StartTimer()
+			var conv Conv
+			sc.Cross(xa, xu, ya, yu, &conv)
+		}
+	})
 }
 
 // The skip-path pair: the same pairing on already-orthogonalized columns,
 // measuring the near-convergence sweeps where most pairs only compute
 // their Gram entries.
 func BenchmarkCrossFusedSkipPath512(b *testing.B) {
-	xa, xu := benchCols(32, 512, 512, 1)
-	ya, yu := benchCols(32, 512, 512, 2)
-	var sc Scratch
-	var warm Conv
-	for i := 0; i < 40; i++ {
-		sc.Cross(xa, xu, ya, yu, &warm)
-		sc.Within(xa, xu, &warm)
-		sc.Within(ya, yu, &warm)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var conv Conv
-		sc.Cross(xa, xu, ya, yu, &conv)
-	}
+	forEachArm(b, func(b *testing.B) {
+		xa, xu := benchCols(32, 512, 512, 1)
+		ya, yu := benchCols(32, 512, 512, 2)
+		var sc Scratch
+		var warm Conv
+		for i := 0; i < 40; i++ {
+			sc.Cross(xa, xu, ya, yu, &warm)
+			sc.Within(xa, xu, &warm)
+			sc.Within(ya, yu, &warm)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			var conv Conv
+			sc.Cross(xa, xu, ya, yu, &conv)
+		}
+	})
 }
 
 func BenchmarkWithinRef512(b *testing.B) {
@@ -123,47 +127,53 @@ func BenchmarkWithinRef512(b *testing.B) {
 }
 
 func BenchmarkWithinFused512(b *testing.B) {
-	a0, u0 := benchCols(64, 512, 512, 3)
-	a, u := benchCols(64, 512, 512, 3)
-	var sc Scratch
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		restore(a, a0)
-		restore(u, u0)
-		b.StartTimer()
-		var conv Conv
-		sc.Within(a, u, &conv)
-	}
+	forEachArm(b, func(b *testing.B) {
+		a0, u0 := benchCols(64, 512, 512, 3)
+		a, u := benchCols(64, 512, 512, 3)
+		var sc Scratch
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			restore(a, a0)
+			restore(u, u0)
+			b.StartTimer()
+			var conv Conv
+			sc.Within(a, u, &conv)
+		}
+	})
 }
 
 func BenchmarkRotatePairRef(b *testing.B) {
-	a0, _ := benchCols(2, 512, 512, 4)
-	a, u := benchCols(2, 512, 512, 4)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		restore(a, a0)
-		b.StartTimer()
-		var conv Conv
-		RotatePairRef(a[0], a[1], u[0], u[1], &conv)
-	}
+	forEachArm(b, func(b *testing.B) {
+		a0, _ := benchCols(2, 512, 512, 4)
+		a, u := benchCols(2, 512, 512, 4)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			restore(a, a0)
+			b.StartTimer()
+			var conv Conv
+			RotatePairRef(a[0], a[1], u[0], u[1], &conv)
+		}
+	})
 }
 
 func BenchmarkRotatePairFused(b *testing.B) {
-	a0, _ := benchCols(2, 512, 512, 4)
-	a, u := benchCols(2, 512, 512, 4)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		restore(a, a0)
-		b.StartTimer()
-		var conv Conv
-		RotatePairFused(a[0], a[1], u[0], u[1], &conv)
-	}
+	forEachArm(b, func(b *testing.B) {
+		a0, _ := benchCols(2, 512, 512, 4)
+		a, u := benchCols(2, 512, 512, 4)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			restore(a, a0)
+			b.StartTimer()
+			var conv Conv
+			RotatePairFused(a[0], a[1], u[0], u[1], &conv)
+		}
+	})
 }
 
 // laneCols builds w interleaved lane columns (height m, K lanes) plus

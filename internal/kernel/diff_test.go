@@ -8,14 +8,19 @@ import (
 )
 
 // The reference-kernel differential suite: every fused kernel against the
-// reference path, across column heights n = 4..512 (odd and even, including
+// reference path, across column heights n = 4..520 (odd and even, including
 // non-multiples of the vector width), under the package's documented ulp
-// budgets. On amd64 every case runs both dispatch arms (vector and generic)
-// by toggling useAVX.
+// budgets. On amd64 every case runs every dispatch arm the host has
+// (generic, AVX2, AVX-512) by toggling useAVX and useAVX512.
 
 // diffHeights is the shape sweep: powers of two to 512 plus odd and
-// off-by-one heights that exercise the scalar tails.
-var diffHeights = []int{4, 5, 7, 8, 13, 16, 31, 32, 33, 64, 100, 127, 128, 255, 256, 511, 512}
+// off-by-one heights that exercise the scalar tails, and heights that end
+// in each remainder group of the unrolled vector loops (8 or 24 rows past
+// a multiple of 16 or 32 on AVX-512, 4 or 12 rows on AVX2).
+var diffHeights = []int{
+	4, 5, 7, 8, 13, 16, 17, 20, 24, 31, 32, 33, 40, 48, 64, 72, 100,
+	127, 128, 136, 255, 256, 264, 511, 512, 520,
+}
 
 // epsBudget returns the documented absolute budget for a reassociated sum
 // of n terms with total absolute mass `mass`: 4·n·eps·mass.
@@ -32,9 +37,10 @@ func randCol(n int, rng *rand.Rand) []float64 {
 	return c
 }
 
-// forEachArm runs f under every available dispatch arm: generic, AVX2, and
-// (for the lane kernels, which are the only AVX-512 dispatchers) AVX-512.
-func forEachArm(t *testing.T, f func(t *testing.T)) {
+// forEachArm runs f as a subtest (or sub-benchmark) under every available
+// dispatch arm: generic, AVX2 and AVX-512. The fused primitives and the
+// lane kernels both dispatch on all three.
+func forEachArm[T interface{ Run(string, func(T)) bool }](tb T, f func(T)) {
 	type arm struct {
 		name        string
 		avx, avx512 bool
@@ -50,7 +56,7 @@ func forEachArm(t *testing.T, f func(t *testing.T)) {
 	defer func() { useAVX, useAVX512 = savedAVX, saved512 }()
 	for _, a := range arms {
 		useAVX, useAVX512 = a.avx, a.avx512
-		t.Run(a.name, f)
+		tb.Run(a.name, f)
 	}
 }
 

@@ -42,7 +42,7 @@
 //	|gamma_f − gamma_r| ≤ 4n·eps·sqrt(alpha_r·beta_r)   (Cauchy–Schwarz on Σ|x_k·y_k|)
 //
 // The differential suite (diff_test.go) enforces these bounds for every
-// fused kernel against the reference on shapes n = 4..512, and end-to-end
+// fused kernel against the reference on shapes n = 4..520, and end-to-end
 // solve comparisons in the engine and jacobi packages bound the accumulated
 // effect on eigenvalues and singular values. Because the rotation-skip
 // decision compares |gamma|/sqrt(alpha·beta) against SkipEps, a pair lying

@@ -19,7 +19,7 @@
 // per lane — even rows and odd rows, combined with one add at the end — to
 // break the loop-carried FMA latency that bounds a single chain. That is
 // one more reassociation of the same products, the same license the fused
-// path's four-lane horizontal reductions already use, and it stays inside
+// path's vector reductions already use, and it stays inside
 // the package's documented ulp bound (the differential suite runs this arm
 // explicitly). The rotateGram norm carry keeps one chain per lane: its loop
 // body is port-bound, so a second chain would buy nothing.

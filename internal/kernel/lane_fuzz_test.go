@@ -33,29 +33,11 @@ func FuzzRotatePairBatch(f *testing.F) {
 		K := int(rawK)%8 + 1
 		n := int(rawN)%64 + 1
 		masked := int(rawMask) % K
-		col := func(off int) []float64 {
-			c := make([]float64, n)
-			for k := range c {
-				idx := off + k
-				var v uint64
-				if len(data) > 0 {
-					for b := 0; b < 8; b++ {
-						v = v<<8 | uint64(data[(idx*8+b)%len(data)])
-					}
-				}
-				x := math.Float64frombits(v)
-				if math.IsNaN(x) || math.IsInf(x, 0) || math.Abs(x) > 1e100 {
-					x = float64(v%2048)/1024 - 1
-				}
-				c[k] = x
-			}
-			return c
-		}
 		px := make([][]float64, K)
 		py := make([][]float64, K)
 		for k := 0; k < K; k++ {
-			px[k] = col(2 * k)
-			py[k] = col(2*k + 1)
+			px[k] = fuzzCol(data, 2*k, n)
+			py[k] = fuzzCol(data, 2*k+1, n)
 		}
 		lx := make([]float64, n*K)
 		ly := make([]float64, n*K)

@@ -1,22 +1,30 @@
 package kernel
 
-// SIMD dispatch on amd64: when the host has AVX2 and FMA (and the OS saves
-// YMM state), the kernels run the hand-written vector routines in
-// simd_amd64.s over the 4-aligned prefix and finish the tail in Go;
-// otherwise they fall back to the portable generic loops. The reference
-// path dispatches only the rotation application (applyPair), whose vector
-// arm performs exactly the scalar per-element arithmetic with no FMA, so
-// the reference results are bit for bit the same on every host and arm.
-// Its Gram sums (GramRef) stay scalar: each is one left-to-right
-// accumulator chain by definition.
+// SIMD dispatch on amd64: the fused primitives run one of three arms,
+// picked by the cpuid probes below.
+//
+//   - AVX-512 (simd512_amd64.s): eight rows per ZMM register over the
+//     8-aligned prefix.
+//   - AVX2+FMA (simd_amd64.s): four rows per YMM register over the
+//     4-aligned prefix.
+//   - generic (fused.go): portable unrolled loops, on hosts with neither.
+//
+// The vector arms finish the scalar tail in Go. The reference path
+// dispatches only the rotation application (applyPair), whose vector arms
+// perform exactly the scalar per-element arithmetic with no FMA, so the
+// reference results are bit for bit the same on every host and arm. Its
+// Gram sums (GramRef) stay scalar: each is one left-to-right accumulator
+// chain by definition.
 //
 // The fused path's vector accumulators are one more reassociation of the
-// same products (four lanes + one horizontal reduction, FMA in the
-// accumulation), still covered by the package's documented ulp bound; the
-// differential suite exercises both dispatch arms. Fused results are
-// deterministic for a given host but may differ across hosts with different
-// SIMD features — one more reason the clocked backends, whose results the
-// paper's experiments compare, stay on the reference path.
+// same products (several registers of four or eight lanes, added pairwise,
+// then one horizontal reduction; FMA in the accumulation), still covered
+// by the package's documented ulp bound; the differential suite exercises
+// every arm. Fused results are deterministic for a given host but differ
+// across hosts with different SIMD features — AVX-512 against AVX2 as
+// well as AVX2 against generic — one more reason the clocked backends,
+// whose results the paper's experiments compare, stay on the reference
+// path.
 
 // Implemented in simd_amd64.s.
 func cpuidex(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
@@ -27,17 +35,33 @@ func applyPairAVX(c, s float64, x, y []float64)
 func rotateGramAVX(c, s float64, x, y []float64) (a, b float64)
 func rotateGramNextAVX(c, s float64, x, y, yn []float64) (a, b, gam float64)
 
+// Implemented in simd512_amd64.s.
+func sqNormAVX512(x []float64) float64
+func gammaDotAVX512(x, y []float64) float64
+func applyPairAVX512(c, s float64, x, y []float64)
+func rotateGramAVX512(c, s float64, x, y []float64) (a, b float64)
+func rotateGramNextAVX512(c, s float64, x, y, yn []float64) (a, b, gam float64)
+
 // useAVX gates the vector arm. It is a variable (not a constant) so the
 // differential tests can force the generic arm on any host.
 var useAVX = detectAVX()
 
-// useAVX512 additionally gates the 8-lane AVX-512 arm of the lane kernels
-// (lane_amd64.go): one ZMM register holds the same element of eight jobs,
+// useAVX512 additionally gates the AVX-512 arms. In the lane kernels
+// (lane_amd64.go) one ZMM register holds the same element of eight jobs,
 // and the opmask registers express the lane blend masks natively — masked
 // stores leave a masked lane's memory bytes untouched without a blend in
-// the data path. The fused (single-job) kernels stay on the AVX2 arm: their
-// vectors run along the column, where 256-bit operations already saturate
-// the store ports that bound them.
+// the data path. In the fused (single-job) kernels the vectors run along
+// the column. Their bound is FP µops, not stores: the rotate-and-
+// accumulate step issues 9 FP µops per vector (4 multiplies, an add and a
+// subtract for the FMA-free application, 3 FMAs for a, b and the lookahead
+// gamma) on the two FP ports, so a ZMM vector moves twice the rows of a
+// YMM vector for the same µops. The 4-cycle FMA latency is hidden by
+// independent accumulators: two sets in the rotate loops, four in the dot
+// loops, which with one chain per quantity ran one element per cycle.
+// Medians on a 2-vCPU AVX-512 Xeon: BenchmarkCrossFused512 takes ~585 µs
+// on the AVX2 arm and ~395 µs on the AVX-512 arm (~650 µs with one chain),
+// its skip path (BenchmarkCrossFusedSkipPath512, GammaDot only) ~110 and
+// ~87 µs (~235 µs with one chain).
 var useAVX512 = useAVX && detectAVX512()
 
 // detectAVX reports AVX2+FMA with OS-enabled YMM state: CPUID.1:ECX must
@@ -83,11 +107,18 @@ const simdMin = 16
 //
 //jacobi:noalloc
 func SqNorm(x []float64) float64 {
-	n := len(x) &^ 3
-	if !useAVX || n < simdMin {
+	if !useAVX || len(x) < simdMin {
 		return sqNormGeneric(x)
 	}
-	s := sqNormAVX(x[:n])
+	var n int
+	var s float64
+	if useAVX512 {
+		n = len(x) &^ 7
+		s = sqNormAVX512(x[:n])
+	} else {
+		n = len(x) &^ 3
+		s = sqNormAVX(x[:n])
+	}
 	for _, v := range x[n:] {
 		s += v * v
 	}
@@ -100,11 +131,18 @@ func SqNorm(x []float64) float64 {
 //jacobi:noalloc
 func GammaDot(x, y []float64) float64 {
 	y = y[:len(x)]
-	n := len(x) &^ 3
-	if !useAVX || n < simdMin {
+	if !useAVX || len(x) < simdMin {
 		return gammaDotGeneric(x, y)
 	}
-	s := gammaDotAVX(x[:n], y[:n])
+	var n int
+	var s float64
+	if useAVX512 {
+		n = len(x) &^ 7
+		s = gammaDotAVX512(x[:n], y[:n])
+	} else {
+		n = len(x) &^ 3
+		s = gammaDotAVX(x[:n], y[:n])
+	}
 	for k := n; k < len(x); k++ {
 		s += x[k] * y[k]
 	}
@@ -112,19 +150,25 @@ func GammaDot(x, y []float64) float64 {
 }
 
 // applyPair rotates the pair (x, y) in place. Per element it performs
-// exactly the reference arithmetic in both dispatch arms (the vector arm
-// deliberately avoids FMA here), so it is bit-identical to Rotation.Apply.
+// exactly the reference arithmetic in every dispatch arm (the vector arms
+// deliberately avoid FMA here), so it is bit-identical to Rotation.Apply.
 // The columns must have equal length.
 //
 //jacobi:noalloc
 func applyPair(c, s float64, x, y []float64) {
 	y = y[:len(x)]
-	n := len(x) &^ 3
-	if !useAVX || n < simdMin {
+	if !useAVX || len(x) < simdMin {
 		applyPairGeneric(c, s, x, y)
 		return
 	}
-	applyPairAVX(c, s, x[:n], y[:n])
+	var n int
+	if useAVX512 {
+		n = len(x) &^ 7
+		applyPairAVX512(c, s, x[:n], y[:n])
+	} else {
+		n = len(x) &^ 3
+		applyPairAVX(c, s, x[:n], y[:n])
+	}
 	for k := n; k < len(x); k++ {
 		x0, y0 := x[k], y[k]
 		x[k] = c*x0 - s*y0
@@ -138,11 +182,17 @@ func applyPair(c, s float64, x, y []float64) {
 //jacobi:noalloc
 func rotateGram(c, s float64, x, y []float64) (a, b float64) {
 	y = y[:len(x)]
-	n := len(x) &^ 3
-	if !useAVX || n < simdMin {
+	if !useAVX || len(x) < simdMin {
 		return rotateGramGeneric(c, s, x, y)
 	}
-	a, b = rotateGramAVX(c, s, x[:n], y[:n])
+	var n int
+	if useAVX512 {
+		n = len(x) &^ 7
+		a, b = rotateGramAVX512(c, s, x[:n], y[:n])
+	} else {
+		n = len(x) &^ 3
+		a, b = rotateGramAVX(c, s, x[:n], y[:n])
+	}
 	for k := n; k < len(x); k++ {
 		xi, yi := x[k], y[k]
 		xr := c*xi - s*yi
@@ -161,11 +211,17 @@ func rotateGram(c, s float64, x, y []float64) (a, b float64) {
 func rotateGramNext(c, s float64, x, y, ynext []float64) (a, b, g float64) {
 	y = y[:len(x)]
 	yn := ynext[:len(x)]
-	n := len(x) &^ 3
-	if !useAVX || n < simdMin {
+	if !useAVX || len(x) < simdMin {
 		return rotateGramNextGeneric(c, s, x, y, yn)
 	}
-	a, b, g = rotateGramNextAVX(c, s, x[:n], y[:n], yn[:n])
+	var n int
+	if useAVX512 {
+		n = len(x) &^ 7
+		a, b, g = rotateGramNextAVX512(c, s, x[:n], y[:n], yn[:n])
+	} else {
+		n = len(x) &^ 3
+		a, b, g = rotateGramNextAVX(c, s, x[:n], y[:n], yn[:n])
+	}
 	for k := n; k < len(x); k++ {
 		xi, yi := x[k], y[k]
 		xr := c*xi - s*yi

@@ -119,10 +119,10 @@ type Config struct {
 	// auto-selection switches from the emulated machine to the multicore
 	// backend. Default (0) is 64: with the fused multicore kernels
 	// (internal/kernel) the emulated machine's wall-clock penalty is ~2.2x
-	// there, ~2.6x at n=128 and ~2.4x at n=512 (one sweep, d=3, see
-	// DESIGN.md "Kernel layer"); below it the penalty is small enough that
-	// the emulated machine's free virtual-clock makespan is worth keeping
-	// by default.
+	// there, ~3.0x at n=128 and ~3.5x at n=512 (one sweep, d=3, AVX-512
+	// host, see DESIGN.md "Kernel layer"); below it the penalty is small
+	// enough that the emulated machine's free virtual-clock makespan is
+	// worth keeping by default.
 	// A negative value means "never auto-select multicore": every
 	// auto-selected job stays on the emulated machine regardless of size
 	// (explicit Backend: "multicore" requests are still honored) — useful
