@@ -187,7 +187,7 @@ func FuzzCrossFused(f *testing.F) {
 	// to a value in [-1, 1), so the pairing stays clear of the exemptions
 	// and plain `go test` checks agreement on every arm.
 	rng := rand.New(rand.NewSource(23))
-	scaled := make([]byte, 8*1500)
+	scaled := make([]byte, 8*2048)
 	for k := 0; k < len(scaled); k += 8 {
 		binary.BigEndian.PutUint64(scaled[k:], 0x7ff8<<48|uint64(rng.Intn(2048)))
 	}
