@@ -33,7 +33,8 @@ type LocalConfig struct {
 	CacheMaxBytes int64
 	// LaneWidth (>= 2) enables the batched solve lane: up to LaneWidth
 	// same-shape small jobs gathered within LaneWindow advance in SIMD
-	// lockstep on one worker (see DESIGN.md §11).
+	// lockstep on one worker (see DESIGN.md §11). LaneWindow is the
+	// longest a leader waits; it waits only while a mate is due.
 	LaneWidth  int
 	LaneWindow time.Duration
 	// DataDir, when non-empty, makes the owned service durable: jobs are

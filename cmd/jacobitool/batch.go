@@ -31,7 +31,7 @@ func cmdBatch(args []string) error {
 	check := fs.Bool("check", false, "verify each job against a sequential single-solve run")
 	timeout := fs.Duration("timeout", 10*time.Minute, "overall batch deadline")
 	laneW := fs.Int("lane-width", 0, "batched-lane width for in-process small jobs (0 disables; >= 2 enables SIMD-lockstep lanes)")
-	laneWin := fs.Duration("lane-window", 0, "how long a lane leader waits for same-shape lane mates (0 = service default)")
+	laneWin := fs.Duration("lane-window", 0, "the longest a lane leader waits for same-shape lane mates; it waits only while a mate is due (0 = service default)")
 	cacheMax := fs.Int64("cache-max", 0, "result-cache byte budget for the in-process pool (0 = entries-only bound)")
 	if err := fs.Parse(args); err != nil {
 		return err

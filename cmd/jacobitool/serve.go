@@ -35,7 +35,7 @@ func cmdServe(args []string) error {
 	cacheCap := fs.Int("cache", 0, "result-cache capacity in entries (0 = 256, negative disables)")
 	cacheMax := fs.Int64("cache-max", 0, "result-cache byte budget (0 = entries-only bound)")
 	laneW := fs.Int("lane-width", 0, "batched-lane width for small jobs (0 disables; >= 2 enables SIMD-lockstep lanes)")
-	laneWin := fs.Duration("lane-window", 0, "how long a lane leader waits for same-shape lane mates (0 = service default)")
+	laneWin := fs.Duration("lane-window", 0, "the longest a lane leader waits for same-shape lane mates; it waits only while a mate is due (0 = service default)")
 	retain := fs.Int("retain", 0, "finished-job records kept for status/result queries (0 = 4096, negative retains everything)")
 	quota := fs.Int("tenant-quota", 0, "per-tenant queued-job quota (0 disables)")
 	tenantRate := fs.Float64("tenant-rate", 0, "per-tenant submit rate limit in jobs/sec (0 disables)")

@@ -114,7 +114,7 @@ func shmRun(d int, program func(NodeCtx) error, tm *timingParams, timeout time.D
 	}
 	ctxs := make([]*shmCtx, n)
 	for p := 0; p < n; p++ {
-		ctxs[p] = &shmCtx{id: p, d: d, in: in, tm: tm, timeout: timeout}
+		ctxs[p] = &shmCtx{id: p, d: d, in: in, tm: tm, links: machine.NewLinkTimer(timeout)}
 	}
 	errs := make([]error, n)
 	start := time.Now()
@@ -162,11 +162,11 @@ func shmRun(d int, program func(NodeCtx) error, tm *timingParams, timeout time.D
 
 // shmCtx is the shared-memory NodeCtx.
 type shmCtx struct {
-	id      int
-	d       int
-	in      [][]chan shmMsg
-	tm      *timingParams
-	timeout time.Duration
+	id    int
+	d     int
+	in    [][]chan shmMsg
+	tm    *timingParams
+	links machine.LinkTimer
 
 	vtime       float64
 	messages    int
@@ -195,15 +195,15 @@ func (c *shmCtx) exchange(links []int, msgs []shmMsg) ([]shmMsg, error) {
 	if len(links) == 0 {
 		return nil, nil
 	}
-	seen := make(map[int]bool, len(links))
+	var seen uint32 // bit l set once link l is listed (d <= 16)
 	for _, l := range links {
 		if l < 0 || l >= c.d {
 			return nil, fmt.Errorf("engine: node %d: invalid link %d", c.id, l)
 		}
-		if seen[l] {
+		if seen&(1<<l) != 0 {
 			return nil, fmt.Errorf("engine: node %d: duplicate link %d in batch (combine messages first)", c.id, l)
 		}
-		seen[l] = true
+		seen |= 1 << l
 	}
 	ownDone := c.vtime
 	if c.tm != nil {
@@ -224,9 +224,7 @@ func (c *shmCtx) exchange(links []int, msgs []shmMsg) ([]shmMsg, error) {
 	}
 	for i, l := range links {
 		nb := bitutil.Flip(c.id, l)
-		select {
-		case c.in[nb][l] <- msgs[i]:
-		case <-time.After(c.timeout):
+		if !machine.Send(&c.links, c.in[nb][l], msgs[i]) {
 			return nil, fmt.Errorf("engine: node %d: send on link %d timed out (neighbor %d not receiving)", c.id, l, nb)
 		}
 		c.messages++
@@ -237,14 +235,13 @@ func (c *shmCtx) exchange(links []int, msgs []shmMsg) ([]shmMsg, error) {
 	out := make([]shmMsg, len(links))
 	completion := ownDone
 	for i, l := range links {
-		select {
-		case msg := <-c.in[c.id][l]:
-			out[i] = msg
-			if msg.done > completion {
-				completion = msg.done
-			}
-		case <-time.After(c.timeout):
+		msg, ok := machine.Recv(&c.links, c.in[c.id][l])
+		if !ok {
 			return nil, fmt.Errorf("engine: node %d: receive on link %d timed out (schedule mismatch?)", c.id, l)
+		}
+		out[i] = msg
+		if msg.done > completion {
+			completion = msg.done
 		}
 	}
 	if c.tm != nil {

@@ -144,36 +144,39 @@ func BenchmarkWithinFused512(b *testing.B) {
 	})
 }
 
-func BenchmarkRotatePairRef(b *testing.B) {
-	forEachArm(b, func(b *testing.B) {
-		a0, _ := benchCols(2, 512, 512, 4)
-		a, u := benchCols(2, 512, 512, 4)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
+// pairBatch is how many independent 512-row column pairs the single-pair
+// benchmarks rotate per restore. A pair takes 1–3 µs, so stopping the
+// timer and restoring for every pair would cost more than the pair; 32
+// pairs (512 KiB of working and factor columns) still fit in L2.
+const pairBatch = 32
+
+// benchPairs times one pair rotation per op: ops cycle through pairBatch
+// independent pairs, which are restored (untimed) once per batch so every
+// timed rotation takes the rotation path, not the skip path.
+func benchPairs(b *testing.B, rotate func(a0, a1, u0, u1 []float64, conv *Conv)) {
+	a0, _ := benchCols(2*pairBatch, 512, 512, 4)
+	a, u := benchCols(2*pairBatch, 512, 512, 4)
+	var conv Conv // outside the loop: escaping through rotate, it would allocate per op
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % pairBatch
+		if k == 0 {
 			b.StopTimer()
 			restore(a, a0)
 			b.StartTimer()
-			var conv Conv
-			RotatePairRef(a[0], a[1], u[0], u[1], &conv)
 		}
-	})
+		conv = Conv{}
+		rotate(a[2*k], a[2*k+1], u[2*k], u[2*k+1], &conv)
+	}
+}
+
+func BenchmarkRotatePairRef(b *testing.B) {
+	forEachArm(b, func(b *testing.B) { benchPairs(b, RotatePairRef) })
 }
 
 func BenchmarkRotatePairFused(b *testing.B) {
-	forEachArm(b, func(b *testing.B) {
-		a0, _ := benchCols(2, 512, 512, 4)
-		a, u := benchCols(2, 512, 512, 4)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			restore(a, a0)
-			b.StartTimer()
-			var conv Conv
-			RotatePairFused(a[0], a[1], u[0], u[1], &conv)
-		}
-	})
+	forEachArm(b, func(b *testing.B) { benchPairs(b, RotatePairFused) })
 }
 
 // laneCols builds w interleaved lane columns (height m, K lanes) plus

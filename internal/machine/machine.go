@@ -187,7 +187,7 @@ func (m *Machine) Run(program Program) (*RunStats, error) {
 	n := m.cube.Nodes()
 	ctxs := make([]*NodeCtx, n)
 	for p := 0; p < n; p++ {
-		ctxs[p] = &NodeCtx{machine: m, id: p}
+		ctxs[p] = &NodeCtx{machine: m, id: p, links: NewLinkTimer(m.cfg.ExchangeTimeout)}
 	}
 	errs := make([]error, n)
 	start := time.Now()

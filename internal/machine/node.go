@@ -3,7 +3,6 @@ package machine
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/bitutil"
 )
@@ -24,6 +23,7 @@ type NodeCtx struct {
 	id      int
 	vtime   float64
 	stats   NodeStats
+	links   LinkTimer
 }
 
 // ID returns the node's label in [0, 2^d).
@@ -90,15 +90,15 @@ func (c *NodeCtx) ExchangeBatch(links []int, payloads [][]float64) ([][]float64,
 	}
 	m := c.machine
 	startTime := c.vtime
-	seen := make(map[int]bool, len(links))
+	var seen uint32 // bit l set once link l is listed (Dim <= 16)
 	for _, l := range links {
 		if l < 0 || l >= m.cfg.Dim {
 			return nil, fmt.Errorf("machine: node %d: invalid link %d", c.id, l)
 		}
-		if seen[l] {
+		if seen&(1<<l) != 0 {
 			return nil, fmt.Errorf("machine: node %d: duplicate link %d in batch (combine messages first)", c.id, l)
 		}
-		seen[l] = true
+		seen |= 1 << l
 	}
 
 	// Model the send side: when does each outgoing transmission complete?
@@ -113,9 +113,7 @@ func (c *NodeCtx) ExchangeBatch(links []int, payloads [][]float64) ([][]float64,
 	// Send to each neighbor's inbound channel for the link's dimension.
 	for i, l := range links {
 		nb := bitutil.Flip(c.id, l)
-		select {
-		case m.in[nb][l] <- message{payload: payloads[i], doneTime: doneTimes[i]}:
-		case <-time.After(m.cfg.ExchangeTimeout):
+		if !Send(&c.links, m.in[nb][l], message{payload: payloads[i], doneTime: doneTimes[i]}) {
 			return nil, fmt.Errorf("machine: node %d: send on link %d timed out (neighbor %d not receiving)", c.id, l, nb)
 		}
 		c.stats.Messages++
@@ -132,14 +130,13 @@ func (c *NodeCtx) ExchangeBatch(links []int, payloads [][]float64) ([][]float64,
 	out := make([][]float64, len(links))
 	completion := ownDone
 	for i, l := range links {
-		select {
-		case msg := <-m.in[c.id][l]:
-			out[i] = msg.payload
-			if msg.doneTime > completion {
-				completion = msg.doneTime
-			}
-		case <-time.After(m.cfg.ExchangeTimeout):
+		msg, ok := Recv(&c.links, m.in[c.id][l])
+		if !ok {
 			return nil, fmt.Errorf("machine: node %d: receive on link %d timed out (schedule mismatch?)", c.id, l)
+		}
+		out[i] = msg.payload
+		if msg.doneTime > completion {
+			completion = msg.doneTime
 		}
 	}
 	c.vtime = completion

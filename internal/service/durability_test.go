@@ -379,32 +379,36 @@ func TestRecoveryDoubleRestart(t *testing.T) {
 	}()
 
 	dir := t.TempDir()
-	// First kill.
+	// First kill, with the run held at its sweep-2 boundary: the kill
+	// lands mid-run however fast the solve is.
+	held := holdAtSweep(t, 2)
 	st := openStore(t, dir)
 	s := New(Config{Workers: 1, Store: st, CheckpointEvery: 1})
 	j, err := s.Submit(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitSweeps(t, j, 2)
+	waitHeld(t, held)
 	s.Close()
 	st.Close()
-	// Second kill, mid-resumed-run.
+	// Second kill, mid-resumed-run: held at the resumed run's first
+	// boundary, so the job cannot finish before the kill.
+	held = holdAtSweep(t, 2)
 	st = openStore(t, dir)
 	s = New(Config{Workers: 1, Store: st, CheckpointEvery: 1})
-	r, ok := s.Job(j.ID())
-	if !ok {
+	if _, ok := s.Job(j.ID()); !ok {
 		t.Fatal("job lost after first restart")
 	}
-	waitSweeps(t, r, 2)
+	waitHeld(t, held)
 	s.Close()
 	st.Close()
+	sweepHook = nil
 	// Final run to completion.
 	st = openStore(t, dir)
 	defer st.Close()
 	s = New(Config{Workers: 1, Store: st, CheckpointEvery: 1})
 	defer s.Close()
-	r, ok = s.Job(j.ID())
+	r, ok := s.Job(j.ID())
 	if !ok {
 		t.Fatal("job lost after second restart")
 	}
@@ -423,6 +427,34 @@ func TestRecoveryDoubleRestart(t *testing.T) {
 	if res.Sweeps != control.Sweeps || res.Rotations != control.Rotations {
 		t.Fatalf("twice-resumed bookkeeping (%d sweeps, %d rotations) != control (%d, %d)",
 			res.Sweeps, res.Rotations, control.Sweeps, control.Rotations)
+	}
+}
+
+// holdAtSweep arms sweepHook: the first run to reach a boundary at
+// sweep k or later stays there until its job is canceled (Close cancels
+// in-flight jobs), so a kill lands mid-run deterministically. The returned
+// channel closes once a run is held. Call it only while no service runs.
+func holdAtSweep(t *testing.T, k int) <-chan struct{} {
+	held := make(chan struct{})
+	var once sync.Once
+	sweepHook = func(j *Job, p engine.SweepProgress) {
+		if p.Sweep < k {
+			return
+		}
+		once.Do(func() { close(held) })
+		<-j.ctx.Done()
+	}
+	t.Cleanup(func() { sweepHook = nil })
+	return held
+}
+
+// waitHeld blocks until holdAtSweep's run is held.
+func waitHeld(t *testing.T, held <-chan struct{}) {
+	t.Helper()
+	select {
+	case <-held:
+	case <-time.After(30 * time.Second):
+		t.Fatal("run never reached the held sweep")
 	}
 }
 

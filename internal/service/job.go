@@ -204,7 +204,7 @@ func (s JobSpec) validate() error {
 //     modeled makespan comes for free.
 //
 // The lane rule is re-evaluated with laneWidth 0 when a lane-routed job's
-// gather window closes without lane mates: the job then re-checks its shape
+// gather ends without lane mates: the job then re-checks its shape
 // against multicoreThreshold and solves promptly on a solo backend instead
 // of waiting for a lane that never fills.
 func (s JobSpec) selectBackend(multicoreThreshold, laneWidth int) string {
@@ -326,9 +326,10 @@ func (r *Result) clone() *Result {
 // exported methods are safe for concurrent use.
 type Job struct {
 	id       string
-	spec     JobSpec // guarded by mu (the Matrix field is released at finish)
-	n        int     // matrix size, outliving the released matrix
-	backend  string  // resolved by auto-selection at submission
+	spec     JobSpec   // guarded by mu (the Matrix field is released at finish)
+	n        int       // matrix size, outliving the released matrix
+	shape    laneShape // lane-compatibility key; immutable after construction
+	backend  string    // resolved by auto-selection at submission
 	fp       uint64
 	priority Priority
 	tenant   string // normalized tenant name (DefaultTenant when unset)
@@ -387,7 +388,7 @@ func (j *Job) Label() string {
 }
 
 // Backend returns the resolved execution backend. A lane-routed job that
-// runs out its gather window alone re-resolves to a solo backend, so the
+// ends its gather alone re-resolves to a solo backend, so the
 // value may change once between submission and start.
 func (j *Job) Backend() string {
 	j.mu.Lock()

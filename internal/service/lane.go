@@ -13,7 +13,8 @@ import (
 // The batch-lane scheduler: when a worker pops a lane-routed job (the
 // leader), it holds a short gather window (Config.LaneWindow) scooping
 // queued jobs with the same shape fingerprint — matrix size, hypercube
-// dimension, ordering — into a lane of up to Config.LaneWidth jobs, then
+// dimension, ordering — into a lane of up to Config.LaneWidth jobs, while
+// a mate is due by the shape's arrival estimate (see gatherLane), then
 // runs the whole lane in SIMD lockstep on engine.BatchedBackend. One
 // worker slot thus serves LaneWidth jobs; the other workers keep draining
 // non-lane work (multicore for big jobs, per the auto-selection split).
@@ -31,10 +32,82 @@ import (
 //   - result cache: members resolve hits before the lane runs and store
 //     their results after it.
 
+// laneShape is the lane-compatibility key of a job: matrix size,
+// hypercube dimension and ordering. popLaneMateLocked matches mates by it
+// and the arrival estimator is kept per shape. Jobs carry it immutably
+// from construction (Job.shape), so both read it without the job's lock.
+type laneShape struct {
+	n, dim   int
+	ordering string
+}
+
+// laneShapeOf returns the lane shape of a size-n job with the given spec.
+func laneShapeOf(n int, spec JobSpec) laneShape {
+	return laneShape{n: n, dim: spec.Dim, ordering: spec.Ordering}
+}
+
+// maxLaneShapes bounds Service.laneGaps: past it the estimates restart,
+// which only makes the next leaders of each shape wait as if unmeasured.
+const maxLaneShapes = 1024
+
+// arrivalGap estimates one lane shape's inter-arrival gap: an EWMA with
+// weight 1/8 over the gaps between consecutive lane-routed enqueues of the
+// shape, each sample clamped to twice the gather window (one idle spell
+// must not hide a burst for long). The zero value has no estimate.
+type arrivalGap struct {
+	last  time.Time     // the shape's latest enqueue
+	gap   time.Duration // smoothed gap; meaningful once known
+	known bool          // at least one gap observed
+}
+
+// observe records an enqueue of the shape at now.
+func (g *arrivalGap) observe(now time.Time, window time.Duration) {
+	if !g.last.IsZero() {
+		sample := min(now.Sub(g.last), 2*window)
+		if g.known {
+			g.gap += (sample - g.gap) / 8
+		} else {
+			g.gap, g.known = sample, true
+		}
+	}
+	g.last = now
+}
+
+// waitEnd is when a leader at now, whose gather window closes at
+// deadline, stops waiting for mates: at the deadline while the shape has
+// no estimate; at once when the estimated gap does not fit in what is left
+// of the window; otherwise once the shape goes quiet — no enqueue for four
+// estimated gaps, so its burst has ended — or at the deadline, whichever
+// comes first. The quiet spell is never shorter than a sixteenth of the
+// window, which covers how late a woken leader gets to look.
+func (g arrivalGap) waitEnd(now, deadline time.Time, window time.Duration) time.Time {
+	if !g.known {
+		return deadline
+	}
+	if g.gap > deadline.Sub(now) {
+		return now
+	}
+	if quiet := g.last.Add(max(4*g.gap, window/16)); quiet.Before(deadline) {
+		return quiet
+	}
+	return deadline
+}
+
+// noteLaneArrivalLocked feeds a lane-routed enqueue into its shape's
+// arrival estimate. Caller holds s.mu.
+func (s *Service) noteLaneArrivalLocked(j *Job, now time.Time) {
+	if s.laneGaps == nil || len(s.laneGaps) >= maxLaneShapes {
+		s.laneGaps = make(map[laneShape]arrivalGap)
+	}
+	g := s.laneGaps[j.shape]
+	g.observe(now, s.cfg.LaneWindow)
+	s.laneGaps[j.shape] = g
+}
+
 // gatherLane assembles the leader's lane: it scoops compatible queued jobs
-// immediately, then waits out the remainder of the gather window for more,
-// waking on every queue signal and once at the deadline. It returns at
-// least the leader; at most LaneWidth jobs.
+// immediately, then waits for more while a mate is due (arrivalGap.waitEnd)
+// and the gather window is open, waking on every queue signal and once at
+// the end of the wait. It returns at least the leader; at most LaneWidth jobs.
 func (s *Service) gatherLane(leader *Job) []*Job {
 	lane := []*Job{leader}
 	if s.cfg.LaneWidth < 2 || leader.hasResume() {
@@ -54,7 +127,8 @@ func (s *Service) gatherLane(leader *Job) []*Job {
 		if len(lane) >= s.cfg.LaneWidth || s.closed {
 			break
 		}
-		remain := time.Until(deadline)
+		now := time.Now()
+		remain := s.laneGaps[leader.shape].waitEnd(now, deadline, s.cfg.LaneWindow).Sub(now)
 		if remain <= 0 {
 			break
 		}
@@ -76,15 +150,13 @@ func (s *Service) gatherLane(leader *Job) []*Job {
 }
 
 // popLaneMateLocked removes and returns the best queued lane mate for the
-// leader — same matrix size, dimension and ordering, lane-routed, not
-// holding a resume checkpoint — in heap order (priority first, then
+// leader — same lane shape (matrix size, dimension, ordering), lane-routed,
+// not holding a resume checkpoint — in heap order (priority first, then
 // submission order). Nil when none is queued. Caller holds s.mu.
 func (s *Service) popLaneMateLocked(leader *Job) *Job {
 	best := -1
 	for i, m := range s.queue {
-		if m.backend != BackendLane || m.n != leader.n ||
-			m.spec.Dim != leader.spec.Dim || m.spec.Ordering != leader.spec.Ordering ||
-			m.hasResume() {
+		if m.backend != BackendLane || m.shape != leader.shape || m.hasResume() {
 			continue
 		}
 		if best < 0 || s.queue.Less(i, best) {
@@ -142,7 +214,7 @@ func (s *Service) executeLane(lane []*Job) {
 	switch {
 	case len(run) == 0:
 	case loneAuto:
-		// The gather window closed without mates: re-check the job's shape
+		// The gather ended without mates: re-check the job's shape
 		// against the solo auto-selection rules so it solves promptly.
 		s.rerouteSolo(run[0])
 	default:
@@ -218,6 +290,9 @@ func (s *Service) runLane(jobs []*Job) {
 					OffNorm:   p.OffNorm,
 					Rotations: p.Rotations,
 				}})
+				if sweepHook != nil {
+					sweepHook(jj, p)
+				}
 			},
 		}
 		if s.checkpoints(spec, false) {

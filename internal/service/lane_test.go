@@ -5,6 +5,8 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"repro/internal/engine"
 )
 
 // laneConfig is the common test config: lanes enabled, a single worker so
@@ -241,10 +243,12 @@ func TestLaneCacheHit(t *testing.T) {
 func TestLaneMatePriorityOrder(t *testing.T) {
 	s := &Service{cfg: Config{LaneWidth: 2}.withDefaults()}
 	mk := func(seq uint64, pri Priority, n int) *Job {
+		spec := JobSpec{Dim: 1, Ordering: "pbr"}
 		return &Job{
 			backend:  BackendLane,
 			n:        n,
-			spec:     JobSpec{Dim: 1, Ordering: "pbr"},
+			spec:     spec,
+			shape:    laneShapeOf(n, spec),
 			priority: pri,
 			seq:      seq,
 			index:    -1,
@@ -389,4 +393,220 @@ func TestLaneRecoveryAcrossConfigChange(t *testing.T) {
 		t.Errorf("in-flight lane-routed job did not resume from a checkpoint")
 	}
 	rb.Cancel()
+}
+
+// TestArrivalGapEstimator drives one shape's inter-arrival estimate with
+// an injected clock: the first arrival leaves no estimate (a leader waits
+// out its window, as without one), each sample is clamped to twice the
+// window, the EWMA moves 1/8 of the way to each new sample, a gap longer
+// than what is left of the window stops the wait, and a burst keeps a
+// leader waiting only until the shape goes quiet.
+func TestArrivalGapEstimator(t *testing.T) {
+	const window = 2 * time.Millisecond
+	t0 := time.Unix(1000, 0)
+	waitEnd := func(g arrivalGap, now time.Time, remain time.Duration) time.Duration {
+		return g.waitEnd(now, now.Add(remain), window).Sub(now)
+	}
+	var g arrivalGap
+	if got := waitEnd(g, t0, window); got != window {
+		t.Errorf("no estimate yet: waits %v, want the whole window", got)
+	}
+	g.observe(t0, window)
+	if got := waitEnd(g, t0, window); g.known || got != window {
+		t.Error("a first arrival must leave no estimate")
+	}
+	now := t0.Add(time.Second)
+	g.observe(now, window) // clamped to 2×window
+	if !g.known || g.gap != 2*window {
+		t.Fatalf("gap %v after a 1s sample, want the clamp %v", g.gap, 2*window)
+	}
+	if got := waitEnd(g, now, window); got > 0 {
+		t.Errorf("estimated gap 4ms, 2ms left: waits %v, want none", got)
+	}
+	if got := waitEnd(g, now, 2*window); got != 2*window {
+		t.Errorf("estimated gap 4ms, 4ms left: waits %v, want all of it", got)
+	}
+	now = now.Add(100 * time.Microsecond)
+	g.observe(now, window)
+	if want := 2*window + (100*time.Microsecond-2*window)/8; g.gap != want {
+		t.Errorf("gap %v after a 100µs sample, want %v", g.gap, want)
+	}
+	// A back-to-back burst pulls the estimate under the window, and a
+	// leader waits while the burst lasts: until the shape has been quiet
+	// for a sixteenth of the window (four gaps are shorter here).
+	for i := 0; i < 64; i++ {
+		now = now.Add(10 * time.Microsecond)
+		g.observe(now, window)
+	}
+	if g.gap > 20*time.Microsecond {
+		t.Fatalf("gap %v after a 10µs burst", g.gap)
+	}
+	quiet := window / 16
+	if got := waitEnd(g, now, window); got != quiet {
+		t.Errorf("mid-burst: waits %v, want the quiet spell %v", got, quiet)
+	}
+	if got := waitEnd(g, now.Add(quiet/2), window); got != quiet/2 {
+		t.Errorf("half a quiet spell after the last arrival: waits %v, want %v", got, quiet/2)
+	}
+	if got := waitEnd(g, now.Add(quiet), window); got > 0 {
+		t.Errorf("the burst has ended: waits %v, want none", got)
+	}
+	// With slower arrivals the quiet spell is four estimated gaps, and the
+	// window still bounds it.
+	slow := arrivalGap{last: now, gap: window / 4, known: true}
+	if got := waitEnd(slow, now, window); got != window {
+		t.Errorf("gap %v: waits %v, want the window %v (four gaps reach past it)", slow.gap, got, window)
+	}
+	slow.gap = window / 8
+	if got := waitEnd(slow, now, window); got != window/2 {
+		t.Errorf("gap %v: waits %v, want four gaps %v", slow.gap, got, window/2)
+	}
+}
+
+// TestLaneGatherSkipsWindowForSparseArrivals: with a shape's history
+// showing gaps far longer than the window, a leader stops waiting as soon
+// as it has scooped the queue, so sparse same-shape jobs solve at once on
+// the solo path instead of each sitting out a 10s window.
+func TestLaneGatherSkipsWindowForSparseArrivals(t *testing.T) {
+	const window = 10 * time.Second
+	s := New(Config{Workers: 2, LaneWidth: 8, LaneWindow: window})
+	defer s.Close()
+
+	spec := func(seed int64) JobSpec { return JobSpec{Matrix: randSym(16, seed), Dim: 2} }
+	// Seed the shape's history with two arrivals a minute apart: the
+	// estimate starts at the 2×window clamp.
+	shape := laneShapeOf(16, spec(0).withDefaults())
+	s.mu.Lock()
+	probe := &Job{shape: shape}
+	s.noteLaneArrivalLocked(probe, time.Now().Add(-2*time.Minute))
+	s.noteLaneArrivalLocked(probe, time.Now().Add(-time.Minute))
+	s.mu.Unlock()
+
+	for i := int64(0); i < 3; i++ {
+		j, err := s.Submit(context.Background(), spec(900+i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Half the window: a leader that waited it out cannot make it.
+		ctx, cancel := context.WithTimeout(context.Background(), window/2)
+		res, err := j.Wait(ctx)
+		cancel()
+		if err != nil {
+			t.Fatalf("sparse job %d waited for mates no arrival estimate predicted: %v", i, err)
+		}
+		if res.Backend != BackendEmulated {
+			t.Errorf("sparse job %d ran on %q, want the solo reroute %q", i, res.Backend, BackendEmulated)
+		}
+	}
+	if m := s.Metrics(); m.LanesDispatched != 0 {
+		t.Errorf("%d lanes dispatched for sparse lone jobs, want 0", m.LanesDispatched)
+	}
+}
+
+// TestLaneGatherEndsWithBurst: a leader holding a partial lane stops
+// waiting soon after its burst ends. Three same-shape jobs submitted back
+// to back leave the lane three short of full; the leader runs them once
+// the shape has been quiet for a sixteenth of the 10s window, not at the
+// window's close.
+func TestLaneGatherEndsWithBurst(t *testing.T) {
+	const window = 10 * time.Second
+	s := New(Config{Workers: 1, LaneWidth: 8, LaneWindow: window})
+	defer s.Close()
+
+	var specs []JobSpec
+	for i := int64(0); i < 3; i++ {
+		specs = append(specs, JobSpec{Matrix: randSym(16, 920+i), Dim: 2})
+	}
+	jobs, err := s.SubmitAll(context.Background(), specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Ten times the expected quiet spell, still short of the window.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*window/16)
+	defer cancel()
+	for i, j := range jobs {
+		res, err := j.Wait(ctx)
+		if err != nil {
+			t.Fatalf("job %d: the leader sat out the window after its burst ended: %v", i, err)
+		}
+		if res.Backend != BackendLane {
+			t.Errorf("burst job %d ran on %q, want %q", i, res.Backend, BackendLane)
+		}
+	}
+	if m := s.Metrics(); m.LanesDispatched != 1 || m.LaneJobs != 3 {
+		t.Errorf("metrics: %d lanes / %d lane jobs, want 1/3", m.LanesDispatched, m.LaneJobs)
+	}
+}
+
+// TestLaneGatherFillsLanesForBursts: same-shape submissions 1 ms apart —
+// slower than a worker wakes, far quicker than the window — keep the
+// arrival estimate small, so both workers' leaders keep waiting and the
+// burst dispatches as full lanes; leaders that stopped after scooping would
+// run the early arrivals alone. Each lane is held at its first sweep until
+// both have been dispatched, so a finished lane's worker cannot become a
+// third leader and split the tail of the burst.
+func TestLaneGatherFillsLanesForBursts(t *testing.T) {
+	const width = 8
+	held := make(chan struct{}, 4*width) // one send per held run; never blocks
+	release := make(chan struct{})
+	sweepHook = func(j *Job, _ engine.SweepProgress) {
+		select {
+		case <-release:
+			return
+		default:
+		}
+		held <- struct{}{}
+		select {
+		case <-release:
+		case <-j.ctx.Done():
+		}
+	}
+	t.Cleanup(func() { sweepHook = nil })
+	s := New(Config{Workers: 2, LaneWidth: width, LaneWindow: 10 * time.Second})
+	defer s.Close()
+
+	var specs []JobSpec
+	for i := 0; i < 2*width; i++ {
+		specs = append(specs, JobSpec{Matrix: randSym(16, int64(950+i)), Dim: 2})
+	}
+	var jobs []*Job
+	for _, spec := range specs {
+		j, err := s.Submit(context.Background(), spec)
+		if err != nil {
+			close(release)
+			t.Fatal(err)
+		}
+		jobs = append(jobs, j)
+		time.Sleep(time.Millisecond)
+	}
+	for i := 0; i < 2; i++ {
+		select {
+		case <-held:
+		case <-time.After(time.Minute):
+			close(release)
+			t.Fatal("the burst never dispatched two runs")
+		}
+	}
+	close(release)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := WaitAll(ctx, jobs); err != nil {
+		t.Fatal(err)
+	}
+	for i, j := range jobs {
+		res, err := j.Result()
+		if err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
+		if res.Backend != BackendLane {
+			t.Errorf("burst job %d ran on %q, want %q", i, res.Backend, BackendLane)
+		}
+	}
+	m := s.Metrics()
+	if m.LanesDispatched != 2 || m.LaneJobs != 2*width {
+		t.Errorf("metrics: %d lanes / %d lane jobs, want 2/%d", m.LanesDispatched, m.LaneJobs, 2*width)
+	}
+	if m.LaneFillRatio != 1.0 {
+		t.Errorf("fill ratio %g, want 1.0 (both lanes full)", m.LaneFillRatio)
+	}
 }

@@ -248,6 +248,7 @@ func (s *Service) rebuildJob(r *recoveredJob, now time.Time) *Job {
 	} else if n := int(matrixNFromSpec(r.specRaw)); n > 0 {
 		j.n = n
 	}
+	j.shape = laneShapeOf(j.n, r.spec)
 	if r.state == "" {
 		return j
 	}

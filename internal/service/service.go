@@ -144,12 +144,15 @@ type Config struct {
 	// advances them in SIMD lockstep through one sweep schedule
 	// (engine.BatchedBackend). 0 or 1 disables lane routing entirely.
 	LaneWidth int
-	// LaneWindow is how long a lane leader waits for same-shape lane mates
-	// before running a partial lane. A longer window fills lanes better
-	// under bursty submission at the cost of added latency for the first
-	// job of a burst; once the window closes a still-lone job re-resolves
-	// to a solo backend and runs immediately. Default 2ms when lanes are
-	// enabled.
+	// LaneWindow is the longest a lane leader waits for same-shape lane
+	// mates before running a partial lane; it waits only while a mate is
+	// due, i.e. while the shape's estimated inter-arrival gap (an EWMA
+	// over its lane-routed enqueues) fits in what is left of the window
+	// and the shape has not gone quiet since its last enqueue, or while no
+	// estimate exists yet. Back-to-back submission fills lanes up to the
+	// window; a sparse trickle stops paying for it. Once the gather ends a
+	// still-lone job re-resolves to a solo backend and runs immediately.
+	// Default 2ms when lanes are enabled.
 	LaneWindow time.Duration
 	// RetainJobs bounds the finished-job records kept for status/result
 	// queries: once exceeded, the oldest terminal jobs are dropped (live
@@ -290,6 +293,9 @@ type Service struct {
 	// Both are keyed by the normalized tenant name.
 	tenantQueued map[string]int
 	buckets      map[string]*tokenBucket
+	// laneGaps holds each lane shape's inter-arrival estimate, fed by
+	// every lane-routed enqueue and read by gathering leaders (lane.go).
+	laneGaps map[laneShape]arrivalGap // guarded by mu
 
 	// tuner is the resolved tuned-schedule registry (nil = tuning off);
 	// set once in New (initTuner) and immutable afterwards.
@@ -412,6 +418,7 @@ func (s *Service) SubmitKeyed(ctx context.Context, key string, spec JobSpec) (*J
 	j := &Job{
 		spec:      spec,
 		n:         spec.Matrix.Rows,
+		shape:     laneShapeOf(spec.Matrix.Rows, spec),
 		backend:   backend,
 		fp:        fp,
 		tuned:     tunedSc,
@@ -654,10 +661,14 @@ func (s *Service) finishShed(j *Job) {
 }
 
 // enqueueLocked pushes a job into the priority queue, maintaining the
-// per-tenant queued gauge. Caller holds s.mu.
+// per-tenant queued gauge and, for lane-routed jobs, the shape's arrival
+// estimate. Caller holds s.mu.
 func (s *Service) enqueueLocked(j *Job) {
 	heap.Push(&s.queue, j)
 	s.tenantQueued[j.tenant]++
+	if j.backend == BackendLane {
+		s.noteLaneArrivalLocked(j, time.Now())
+	}
 }
 
 // noteDequeuedLocked maintains the per-tenant queued gauge after a job
@@ -1034,6 +1045,9 @@ func (s *Service) solve(j *Job) (*Result, error) {
 				OffNorm:   p.OffNorm,
 				Rotations: p.Rotations,
 			}})
+			if sweepHook != nil {
+				sweepHook(j, p)
+			}
 		},
 		Resume:   j.takeResume(),
 		Schedule: j.tuned,
@@ -1060,6 +1074,12 @@ func (s *Service) solve(j *Job) (*Result, error) {
 	}
 	return res, err
 }
+
+// sweepHook, when non-nil, runs at every sweep boundary of a job's solve,
+// solo or on a lane, after the sweep event is published. It is a test seam
+// for holding a run at a chosen boundary; tests set it only while no
+// service is running.
+var sweepHook func(*Job, engine.SweepProgress)
 
 // RunHooks customizes one RunSpec execution. The zero value runs the spec
 // with no progress reporting, no checkpointing and no resume point.
