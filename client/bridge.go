@@ -87,8 +87,6 @@ func FromServiceStatus(st service.Status) Status {
 		Dim:              st.Dim,
 		Ordering:         st.Ordering,
 		CacheHit:         st.CacheHit,
-		Tuned:            st.Tuned,
-		TunedOrdering:    st.TunedOrdering,
 		Restarts:         st.Restarts,
 		ResumedFromSweep: st.ResumedFromSweep,
 		CheckpointEvery:  st.CheckpointEvery,

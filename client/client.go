@@ -170,11 +170,6 @@ type Status struct {
 	Dim      int    `json:"dim"`
 	Ordering string `json:"ordering"`
 	CacheHit bool   `json:"cache_hit"`
-	// Tuned marks a job the server ran under a tuned-schedule registry
-	// plan instead of the spec's ordering; TunedOrdering names that plan's
-	// family. Both are zero unless the server has tuned schedules loaded.
-	Tuned         bool   `json:"tuned,omitempty"`
-	TunedOrdering string `json:"tuned_ordering,omitempty"`
 	// Reused marks a submission answered by an existing job via its
 	// idempotency key (set on submit responses only).
 	Reused bool `json:"reused,omitempty"`

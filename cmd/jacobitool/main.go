@@ -21,8 +21,7 @@
 //	solve      run a distributed eigensolve on a pluggable execution backend
 //	simulate   compare emulated communication time against the analytic model
 //	bench      headline backend metrics, optionally written as BENCH_<date>.json
-//	tune       search ordering/pipelining plans per job shape; -data persists
-//	           the winners into the registry `serve -data` auto-selects from
+//	tune       search ordering/pipelining plans per job shape (offline research)
 //	serve      the concurrent batch-solve service over its HTTP API (v2);
 //	           -data makes it durable (crash recovery + solve resume)
 //	batch      solve a manifest of problems concurrently, with a summary table
@@ -118,7 +117,7 @@ commands:
   solve       -m N [-d D] [-o ORD] [-backend B] [-pipelined] [-oneport] eigensolve
   simulate    -m N [-d D] [-sweeps S] emulated vs analytic communication time
   bench       [-m N] [-d D] [-json]  headline backend metrics (BENCH_<date>.json)
-  tune        [-shapes n:d[:p],...] [-manifest F] [-data DIR] [-budget T] [-json] tuned-schedule search per job shape
+  tune        [-shapes n:d[:p],...] [-manifest F] [-budget T] [-json] tuned-schedule search per job shape
   serve       [-addr A] [-workers W] [-data DIR] batch-solve service over HTTP (v2; -data = durable)
   batch       [-manifest F] [-remote URL] [-check] solve a manifest of problems concurrently
   submit      [-remote URL] [-n N] [-d D] [-watch] submit one eigensolve via the client API

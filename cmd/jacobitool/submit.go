@@ -44,7 +44,7 @@ func cmdSubmit(args []string) error {
 	n := fs.Int("n", 64, "matrix size")
 	seed := fs.Int64("seed", 1, "random-matrix seed")
 	d := fs.Int("d", 2, "hypercube dimension")
-	ord := fs.String("o", "", "ordering: br, pbr, d4, minalpha (empty = server default, eligible for tuned schedules)")
+	ord := fs.String("o", "", "ordering: br, pbr, d4, minalpha (empty = server default)")
 	backend := fs.String("backend", "", "execution backend: auto, emulated, multicore, analytic")
 	pipelined := fs.Bool("pipelined", false, "apply communication pipelining")
 	q := fs.Int("q", 0, "pipelining degree (0 = cost-model optimum)")

@@ -9,24 +9,22 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/store"
 	"repro/internal/tuner"
 )
 
-// cmdTune runs the ordering auto-tuner over a manifest of job shapes and,
-// with -data, persists every winner into the durable store's tuned-schedule
-// log — the registry `jacobitool serve -data` warm-loads at boot. Shapes
-// come from -shapes ("n:d[:p]" entries) and/or a -manifest JSON file; each
-// shape's search scores the paper's ordering families plus transform-derived
-// candidates against the analytic backend, validates the scores against the
-// closed-form cost model, and keeps the legal schedule with the smallest
-// one-sweep makespan (the unpipelined baseline is always candidate zero, so
-// a winner never loses to it).
+// cmdTune runs the ordering auto-tuner over a manifest of job shapes, an
+// offline research tool: it reports each shape's winner and changes
+// nothing a server runs. Shapes come from -shapes ("n:d[:p]" entries)
+// and/or a -manifest JSON file; each shape's search scores the paper's
+// ordering families plus transform-derived candidates against the analytic
+// backend, validates the scores against the closed-form cost model, and
+// keeps the legal schedule with the smallest one-sweep makespan (the
+// unpipelined baseline is always candidate zero, so a winner never loses
+// to it).
 func cmdTune(args []string) error {
 	fs := flag.NewFlagSet("tune", flag.ContinueOnError)
 	shapes := fs.String("shapes", "", "comma-separated job shapes as n:d[:p] (e.g. 512:3,256:2:1)")
 	manifest := fs.String("manifest", "", `JSON shape manifest: [{"n":512,"dim":3,"ports":0}, ...]`)
-	dataDir := fs.String("data", "", "durable data directory: append winners to its tuned-schedule log")
 	budget := fs.Duration("budget", 0, "wall-clock budget for the whole run (0 = none); shapes already searched keep their winners")
 	candidates := fs.Int("candidates", 0, "max candidates scored per shape beyond the baseline (0 = no cap)")
 	random := fs.Int("random", 0, "transform-derived candidate families per shape (0 = tuner default)")
@@ -47,14 +45,6 @@ func cmdTune(args []string) error {
 		return fmt.Errorf("no shapes: pass -shapes n:d[:p],... and/or -manifest FILE")
 	}
 
-	var st *store.Store
-	if *dataDir != "" {
-		if st, err = store.Open(*dataDir); err != nil {
-			return err
-		}
-		defer st.Close()
-	}
-
 	opt := tuner.Options{
 		Baseline:      *baseline,
 		Random:        *random,
@@ -73,11 +63,6 @@ func cmdTune(args []string) error {
 			return fmt.Errorf("shape %s: %w", sh.Key(), err)
 		}
 		reports = append(reports, rep)
-		if st != nil {
-			if err := st.AppendTuned(rep.Winner.Record()); err != nil {
-				return fmt.Errorf("shape %s: persist winner: %w", sh.Key(), err)
-			}
-		}
 	}
 
 	if *out != "" || *asJSON {
@@ -94,9 +79,7 @@ func cmdTune(args []string) error {
 		} else {
 			os.Stdout.Write(data)
 		}
-		if st == nil {
-			return nil
-		}
+		return nil
 	}
 
 	fmt.Printf("%-22s %-14s %4s %14s %14s %7s %6s\n",
@@ -115,15 +98,11 @@ func cmdTune(args []string) error {
 			rep.Shape.Key(), w.FamilyName, pipe,
 			w.BaselineMakespan, w.TunedMakespan, gain, rep.Tried)
 	}
-	if st != nil {
-		fmt.Printf("jacobitool tune: %d winner(s) persisted to %s\n", len(reports), *dataDir)
-	}
 	return nil
 }
 
 // tuneShapes merges the -shapes list and the -manifest file into one shape
-// set, in the order given (duplicates keep the last occurrence's position
-// in search order; the registry is last-writer-wins anyway).
+// set, in the order given (a duplicate shape is searched again).
 func tuneShapes(spec, manifestPath string) ([]tuner.Shape, error) {
 	var list []tuner.Shape
 	if spec != "" {

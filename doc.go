@@ -60,11 +60,9 @@
 //     — per job shape (n, d, topology, ports) it searches the paper's
 //     ordering families plus transform-derived candidates, scores each
 //     by analytic-backend makespan, legality-checks every sweep and
-//     validates against the cost models, then persists winners into the
-//     store's tuned-schedule log; the service warm-loads them at boot
-//     and auto-selects the tuned plan for eligible jobs (opt out with
-//     `serve -no-tuned`), reporting tuned hits and makespan gain on
-//     /metrics (DESIGN.md §14)
+//     validates against the cost models, then reports the winner; an
+//     offline research tool whose results change nothing the service
+//     runs (DESIGN.md §14)
 //   - internal/analysis: jacobilint, a go/analysis suite that
 //     mechanically enforces the repo's invariants — guarded-by mutex
 //     discipline, errors.Is/%w sentinel hygiene, bounded decode-time

@@ -4,7 +4,7 @@
 // internal/metrics, iteration over a map must not feed order-sensitive
 // state — Go randomizes map iteration order, so a schedule, candidate
 // list, fingerprint, float accumulation or exposition built from one
-// silently breaks the bit-identity, tuned-fingerprint and sorted-output
+// silently breaks the bit-identity, deterministic-search and sorted-output
 // guarantees.
 //
 // Flagged sinks inside a map-range body:

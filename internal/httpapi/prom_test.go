@@ -96,7 +96,7 @@ func TestPromMetricsAgreeWithSnapshot(t *testing.T) {
 	got := scrape()
 	snap := svc.Metrics()
 	want := taggedSamples(snap)
-	if len(want) < 30 { // 33 scalar fields today; the maps are empty at quiescence
+	if len(want) < 28 { // 28 scalar fields today; the maps are empty at quiescence
 		t.Fatalf("only %d tagged series in the snapshot", len(want))
 	}
 	for key, v := range want {

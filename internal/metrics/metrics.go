@@ -112,18 +112,6 @@ type Snapshot struct {
 	ScheduleBuilds int64 `json:"schedule_builds" prom:"jacobi_schedule_cache_builds_total,counter" help:"Sweep-schedule cache builds."`
 	ScheduleHits   int64 `json:"schedule_hits" prom:"jacobi_schedule_cache_hits_total,counter" help:"Sweep-schedule cache hits."`
 
-	// Tuned-schedule registry (DESIGN.md §14): installed plans, lookup
-	// outcomes (overall and per shape key, with an "other" overflow
-	// bucket), fresh completions run under a plan, and the analytic
-	// makespan those plans saved versus the unpipelined baseline.
-	TunedSchedules    int              `json:"tuned_schedules,omitempty" prom:"jacobi_tuned_schedules,gauge" help:"Tuned execution plans installed in the registry."`
-	TunedHits         int64            `json:"tuned_hits,omitempty" prom:"jacobi_tuned_hits_total,counter" help:"Tuned-registry lookups that found a plan."`
-	TunedMisses       int64            `json:"tuned_misses,omitempty" prom:"jacobi_tuned_misses_total,counter" help:"Tuned-registry lookups that found nothing."`
-	TunedJobs         int64            `json:"tuned_jobs,omitempty" prom:"jacobi_tuned_jobs_total,counter" help:"Fresh completions executed under a tuned plan."`
-	TunedMakespanGain float64          `json:"tuned_makespan_gain,omitempty" prom:"jacobi_tuned_makespan_gain_total,counter" help:"Analytic makespan saved by tuned plans versus the unpipelined baseline, in machine time units."`
-	TunedShapeHits    map[string]int64 `json:"tuned_shape_hits,omitempty" prom:"jacobi_tuned_lookups_total,counter,shape=*,outcome=hit" help:"Tuned-registry lookups by job shape and outcome."`
-	TunedShapeMisses  map[string]int64 `json:"tuned_shape_misses,omitempty" prom:"jacobi_tuned_lookups_total,counter,shape=*,outcome=miss"`
-
 	// Cluster carries this node's routing/steal/replication counters when
 	// the server runs in cluster mode; nil on a standalone serve.
 	Cluster *ClusterMetrics `json:"cluster,omitempty"`

@@ -193,7 +193,7 @@ func render(t *testing.T, s metrics.Snapshot) string {
 var bounds = []float64{1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000}
 
 // fixture is a fully populated snapshot: every field nonzero, two tenants,
-// tuned hits and misses for two shapes, all three outcome histograms.
+// all three outcome histograms.
 func fixture() metrics.Snapshot {
 	return metrics.Snapshot{
 		Workers: 4, UptimeSec: 12.5,
@@ -213,9 +213,6 @@ func fixture() metrics.Snapshot {
 		TotalModeledMakespan: 123456.75, JobsPerSec: 7.2,
 		CheckpointsSaved: 33, CheckpointBytes: 1048576,
 		ScheduleBuilds: 12, ScheduleHits: 345,
-		TunedSchedules: 2, TunedHits: 19, TunedMisses: 23, TunedJobs: 14, TunedMakespanGain: 987.5,
-		TunedShapeHits:   map[string]int64{"hypercube/n48/d2/p2": 11, "hypercube/n64/d3/p3": 8},
-		TunedShapeMisses: map[string]int64{"hypercube/n48/d2/p2": 5, "hypercube/n64/d3/p3": 18},
 	}
 }
 
@@ -373,7 +370,7 @@ func TestEveryFieldExported(t *testing.T) {
 // no series and no family header.
 func TestWriterOmitsAbsentSeries(t *testing.T) {
 	body := render(t, metrics.Snapshot{})
-	for _, fam := range []string{"jacobi_tenant_queued", "jacobi_tuned_lookups_total", "jacobi_job_wall_time_milliseconds", "jacobi_cluster_peers_alive"} {
+	for _, fam := range []string{"jacobi_tenant_queued", "jacobi_job_wall_time_milliseconds", "jacobi_cluster_peers_alive"} {
 		if strings.Contains(body, fam) {
 			t.Errorf("empty snapshot exports %s", fam)
 		}

@@ -134,16 +134,15 @@ func (c *ckptCost) counters() (saved, bytes int64) {
 }
 
 // checkpointable reports whether the engine can cut a run of spec at
-// sweep boundaries. Pipelined and fixed-sweep runs have none, and a tuned
-// run's checkpoint could not name the schedule it was cut under.
-func checkpointable(spec JobSpec, tuned bool) bool {
-	return !spec.Pipelined && spec.FixedSweeps == 0 && !tuned
+// sweep boundaries. Pipelined and fixed-sweep runs have none.
+func checkpointable(spec JobSpec) bool {
+	return !spec.Pipelined && spec.FixedSweeps == 0
 }
 
 // checkpoints reports whether a job's run persists checkpoints: a Store is
 // configured, checkpointing is not disabled, and the run is checkpointable.
-func (s *Service) checkpoints(spec JobSpec, tuned bool) bool {
-	return s.cfg.Store != nil && s.cfg.CheckpointEvery >= 0 && checkpointable(spec, tuned)
+func (s *Service) checkpoints(spec JobSpec) bool {
+	return s.cfg.Store != nil && s.cfg.CheckpointEvery >= 0 && checkpointable(spec)
 }
 
 // checkpointEvery resolves the cadence a durable job of shape k runs

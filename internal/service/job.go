@@ -13,7 +13,6 @@ import (
 	"repro/internal/matrix"
 	"repro/internal/ordering"
 	"repro/internal/trace"
-	"repro/internal/tuner"
 )
 
 // Priority orders queued jobs: higher runs first; equal priorities run in
@@ -335,11 +334,6 @@ type Job struct {
 	tenant   string // normalized tenant name (DefaultTenant when unset)
 	seq      uint64 // FIFO tiebreak within a priority class
 
-	// tuned is the registry execution plan the job runs under (nil = the
-	// spec's ordering verbatim). Set at submission (or recovery re-attach)
-	// before the job is visible to workers; immutable afterwards.
-	tuned *tuner.Schedule
-
 	ctx    context.Context
 	cancel context.CancelCauseFunc
 	svc    *Service
@@ -496,11 +490,6 @@ type Status struct {
 	Dim      int      `json:"dim"`
 	Ordering string   `json:"ordering"`
 	CacheHit bool     `json:"cache_hit"`
-	// Tuned reports that the job runs (ran) under a tuned-schedule
-	// registry plan instead of the spec's ordering; TunedOrdering names
-	// that plan's family.
-	Tuned         bool   `json:"tuned,omitempty"`
-	TunedOrdering string `json:"tuned_ordering,omitempty"`
 	// Restarts counts service restarts that interrupted the job while it
 	// was running; ResumedFromSweep is the completed-sweep count of the
 	// checkpoint its latest re-enqueue resumed from (0 = from scratch).
@@ -536,10 +525,6 @@ func (j *Job) Status() Status {
 		ResumedFromSweep: j.resumedFrom,
 		CheckpointEvery:  j.ckptEvery,
 		Submitted:        j.submitted.UTC().Format(time.RFC3339Nano),
-	}
-	if j.tuned != nil {
-		st.Tuned = true
-		st.TunedOrdering = j.tuned.FamilyName
 	}
 	if j.err != nil {
 		st.Error = j.err.Error()

@@ -295,7 +295,7 @@ func (s *Service) runLane(jobs []*Job) {
 				}
 			},
 		}
-		if s.checkpoints(spec, false) {
+		if s.checkpoints(spec) {
 			w := newCkptWriter(s, j.id, shapeOf(BackendLane, spec))
 			writers[i] = w
 			lane[i].OnCheckpoint = w.offer

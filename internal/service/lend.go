@@ -75,11 +75,8 @@ func (s *Service) LendQueued(max int, lease time.Duration) []LentJob {
 	for len(picked) < max {
 		v := -1
 		for i, q := range s.queue {
-			// Never lend a resumable job (the checkpoint is local) or a
-			// tuned one (the thief's registry may disagree with ours; the
-			// plan must travel with the result's fingerprint, and it
-			// doesn't — so the job runs here, under its own plan).
-			if q.ctx.Err() != nil || q.resume != nil || q.tuned != nil {
+			// Never lend a resumable job (the checkpoint is local).
+			if q.ctx.Err() != nil || q.resume != nil {
 				continue
 			}
 			if v < 0 || q.priority < s.queue[v].priority ||

@@ -112,10 +112,6 @@ func (s *Service) recordFinish(j *Job, state State, res *Result, cacheHit bool, 
 			makespan = 0
 		}
 		s.metrics.observe(runMs, makespan)
-		if j.tuned != nil && !cacheHit {
-			s.metrics.TunedJobs++
-			s.metrics.TunedMakespanGain += j.tuned.Gain() * float64(res.Sweeps)
-		}
 	case StateFailed:
 		s.metrics.Failed++
 		s.metrics.wall[outFailed].record(runMs)
@@ -192,15 +188,6 @@ func (s *Service) Metrics() metrics.Snapshot {
 	snap.CheckpointsSaved, snap.CheckpointBytes = s.ckpt.counters()
 	sc := ordering.SweepCacheStats()
 	snap.ScheduleBuilds, snap.ScheduleHits = sc.Builds, sc.Hits
-	if s.tuner != nil {
-		// The registry keeps its own lock; read it outside s.mu.
-		ts := s.tuner.Stats()
-		snap.TunedSchedules = ts.Schedules
-		snap.TunedHits = ts.Hits
-		snap.TunedMisses = ts.Misses
-		snap.TunedShapeHits = ts.ShapeHits
-		snap.TunedShapeMisses = ts.ShapeMisses
-	}
 	if snap.UptimeSec > 0 {
 		snap.JobsPerSec = float64(snap.Completed) / snap.UptimeSec
 	}

@@ -144,9 +144,6 @@ func (s *Service) recover() {
 				fmt.Fprintf(os.Stderr, "service: recovery: job %s checkpoint unreadable, restarting from scratch: %v\n", r.id, err)
 				_ = st.DeleteCheckpoint(r.id)
 			}
-			// Re-attach the tuned execution plan, if the journaled
-			// fingerprint proves the job was submitted under one.
-			s.reattachTuned(j, r)
 		}
 		// Snapshot the restored result under the job lock once: the job is
 		// about to become visible in s.jobs.

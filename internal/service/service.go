@@ -56,7 +56,6 @@ import (
 	"repro/internal/ordering"
 	"repro/internal/store"
 	"repro/internal/trace"
-	"repro/internal/tuner"
 )
 
 // Sentinel submission failures, distinguishable by errors.Is so the client
@@ -175,19 +174,9 @@ type Config struct {
 	// shape, every sweep until the shape is measured — see cadence.go),
 	// k > 0 checkpoints every k sweeps, negative disables checkpointing
 	// (crash recovery then restarts in-flight jobs from scratch).
-	// Pipelined, fixed-sweep and tuned jobs never checkpoint (the engine
-	// cannot cut those mid-run, or the resume point could not name its
-	// schedule).
+	// Pipelined and fixed-sweep jobs never checkpoint (the engine cannot
+	// cut those mid-run).
 	CheckpointEvery int
-	// Tuner, when non-nil, is the tuned-schedule registry eligible jobs'
-	// execution plans are looked up in (see tuned.go and DESIGN.md §14).
-	// When nil and a Store is configured, the registry is warm-loaded from
-	// the store's tuned-schedule log at New.
-	Tuner *tuner.Registry
-	// DisableTuned opts the service out of tuned-schedule auto-selection
-	// entirely: no registry is loaded or consulted and every job runs its
-	// spec's ordering verbatim.
-	DisableTuned bool
 	// NodeID, when non-empty, qualifies job IDs for cluster mode: IDs
 	// become "job-<node>-<seq>" instead of "job-<seq>", which makes them
 	// globally unique across a multi-node cluster and carries the owning
@@ -297,10 +286,6 @@ type Service struct {
 	// every lane-routed enqueue and read by gathering leaders (lane.go).
 	laneGaps map[laneShape]arrivalGap // guarded by mu
 
-	// tuner is the resolved tuned-schedule registry (nil = tuning off);
-	// set once in New (initTuner) and immutable afterwards.
-	tuner *tuner.Registry
-
 	metrics counters
 	// ckpt holds the by-cost checkpoint cadence estimates and the
 	// checkpoint counters (cadence.go); it has its own lock.
@@ -331,9 +316,6 @@ func New(cfg Config) *Service {
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.metrics.start = time.Now()
-	// The tuned-schedule registry loads before recovery so recovered live
-	// jobs can re-attach their execution plans (see reattachTuned).
-	s.initTuner()
 	if s.cfg.Store != nil {
 		s.recover()
 	}
@@ -395,24 +377,16 @@ func (s *Service) SubmitKeyed(ctx context.Context, key string, spec JobSpec) (*J
 	if len(key) > 128 {
 		return nil, false, specErrf("idempotency_key", "idempotency key longer than 128 bytes")
 	}
-	// Explicitness is decided before normalization: withDefaults fills in
-	// the default ordering, and a caller who asked for it by name must get
-	// it verbatim (never a tuned substitute).
-	explicitOrdering := spec.Ordering != ""
 	spec = spec.withDefaults()
 	if err := spec.validate(); err != nil {
 		return nil, false, err
 	}
 	backend := spec.selectBackend(s.cfg.MulticoreThreshold, s.cfg.LaneWidth)
-	tunedSc := s.tunedFor(spec, backend, explicitOrdering)
 	var fp uint64
 	if s.cfg.CacheCap >= 0 {
 		// The fingerprint hashes the whole matrix; skip the O(n²) pass
 		// when the result cache is disabled and nothing would consume it.
 		fp = spec.fingerprint(backend)
-		if tunedSc != nil {
-			fp = mixFp(fp, tunedSc.Fingerprint())
-		}
 	}
 	jctx, cancel := context.WithCancelCause(ctx)
 	j := &Job{
@@ -421,7 +395,6 @@ func (s *Service) SubmitKeyed(ctx context.Context, key string, spec JobSpec) (*J
 		shape:     laneShapeOf(spec.Matrix.Rows, spec),
 		backend:   backend,
 		fp:        fp,
-		tuned:     tunedSc,
 		priority:  spec.Priority,
 		tenant:    tenantName(spec.Tenant),
 		ctx:       jctx,
@@ -1049,14 +1022,9 @@ func (s *Service) solve(j *Job) (*Result, error) {
 				sweepHook(j, p)
 			}
 		},
-		Resume:   j.takeResume(),
-		Schedule: j.tuned,
+		Resume: j.takeResume(),
 	}
-	// Tuned jobs never checkpoint: a resume point carries no record of the
-	// schedule it was cut under, and finishing a tuned prefix with the
-	// default ordering would run a different computation than either plan
-	// promises. Recovery restarts them from sweep 0 instead (reattachTuned).
-	if !s.checkpoints(spec, j.tuned != nil) {
+	if !s.checkpoints(spec) {
 		return RunSpec(j.ctx, spec, j.backend, h)
 	}
 	// Persist a resume point at sweep boundaries. The engine hook hands the
@@ -1089,18 +1057,13 @@ type RunHooks struct {
 	OnSweep func(engine.SweepProgress)
 	// OnCheckpoint, when non-nil, receives sweep-boundary engine
 	// checkpoints every CheckpointEvery sweeps (0 = every sweep). Runs
-	// that are not checkpointable (pipelined, fixed-sweep or tuned) never
+	// that are not checkpointable (pipelined or fixed-sweep) never
 	// checkpoint regardless.
 	OnCheckpoint    func(*engine.Checkpoint)
 	CheckpointEvery int
 	// Resume, when non-nil, restores the solve from a prior checkpoint
 	// instead of starting at sweep 0.
 	Resume *engine.Checkpoint
-	// Schedule, when non-nil, overrides the spec's ordering family and
-	// pipelining with a tuned execution plan (see internal/tuner and
-	// DESIGN.md §14). The spec itself is untouched — fingerprints and
-	// journals keep describing what the caller submitted.
-	Schedule *tuner.Schedule
 }
 
 // RunSpec executes one normalized spec on an explicitly resolved solo
@@ -1116,20 +1079,6 @@ func RunSpec(ctx context.Context, spec JobSpec, backend string, h RunHooks) (*Re
 	fam, err := ordering.FamilyByName(spec.Ordering)
 	if err != nil {
 		return nil, err
-	}
-	pipelined := spec.Pipelined
-	pipelineQ := spec.PipelineQ
-	if h.Schedule != nil {
-		// A tuned plan replaces the execution schedule wholesale: family,
-		// pipelining and stage depth come from the registry, everything
-		// else (tolerances, port model, timing constants) stays the
-		// spec's. Eligibility (tuned.go) guarantees the spec carried the
-		// defaults for all three.
-		if fam, err = h.Schedule.Family(); err != nil {
-			return nil, fmt.Errorf("service: tuned schedule unusable: %w", err)
-		}
-		pipelined = h.Schedule.Pipelined
-		pipelineQ = h.Schedule.PipelineQ
 	}
 	mc := machine.Config{Ts: spec.Ts, Tw: spec.Tw, Tc: spec.Tc}
 	if spec.OnePort {
@@ -1153,10 +1102,10 @@ func RunSpec(ctx context.Context, spec JobSpec, backend string, h RunHooks) (*Re
 	prob.Opts = engine.Options{Tol: spec.Tol, MaxSweeps: spec.MaxSweeps}
 	prob.FixedSweeps = spec.FixedSweeps
 	prob.OnSweep = h.OnSweep
-	prob.Pipelined = pipelined
-	prob.PipelineQ = pipelineQ
+	prob.Pipelined = spec.Pipelined
+	prob.PipelineQ = spec.PipelineQ
 	prob.PipelineTs, prob.PipelineTw, prob.PipelinePorts = spec.Ts, spec.Tw, int(mc.Ports)
-	if h.OnCheckpoint != nil && checkpointable(spec, h.Schedule != nil) {
+	if h.OnCheckpoint != nil && checkpointable(spec) {
 		prob.OnCheckpoint = h.OnCheckpoint
 		prob.CheckpointEvery = h.CheckpointEvery
 	}

@@ -122,58 +122,6 @@ func FuzzCheckpointDecode(f *testing.F) {
 	})
 }
 
-// FuzzTunedDecode: arbitrary bytes through the tuned-schedule log reader
-// must replay cleanly, truncate, or error — never panic. Seeds cover a
-// valid log (canonical and serialized-phase records), truncation, bit
-// flips and version skew.
-func FuzzTunedDecode(f *testing.F) {
-	img := []byte(tunedMagic)
-	img = binary.LittleEndian.AppendUint32(img, fileVersion)
-	for _, rec := range []TunedRecord{
-		{N: 128, Dim: 3, Topology: "hypercube", Family: "permuted-BR", Canonical: "pbr", Pipelined: true, BaselineMakespan: 3e6, TunedMakespan: 2e6, Candidates: 9},
-		{N: 64, Dim: 2, Ports: 1, Topology: "hypercube", Family: "tuned-t1", Phases: map[int]string{1: "0", 2: "0 1 0"}, Pipelined: true, PipelineQ: 2},
-	} {
-		payload := encodeTuned(rec)
-		img = binary.LittleEndian.AppendUint32(img, uint32(len(payload)))
-		img = binary.LittleEndian.AppendUint32(img, crcOf(payload))
-		img = append(img, payload...)
-	}
-	f.Add(img)
-	f.Add(img[:len(img)-5])
-	flipped := append([]byte(nil), img...)
-	flipped[len(flipped)/2] ^= 0x04
-	f.Add(flipped)
-	skew := append([]byte(nil), img...)
-	skew[4] = 7
-	f.Add(skew)
-	f.Add([]byte{})
-	f.Add([]byte("JTUN"))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, good, err := ReadTunedLog(data)
-		if err != nil {
-			return
-		}
-		if good < hdrBytes || good > int64(len(data)) {
-			t.Fatalf("good offset %d outside [%d,%d]", good, hdrBytes, len(data))
-		}
-		// Whatever replayed must re-encode and replay identically (the
-		// warm-load path depends on it).
-		img := []byte(tunedMagic)
-		img = binary.LittleEndian.AppendUint32(img, fileVersion)
-		for _, rec := range recs {
-			payload := encodeTuned(rec)
-			img = binary.LittleEndian.AppendUint32(img, uint32(len(payload)))
-			img = binary.LittleEndian.AppendUint32(img, crcOf(payload))
-			img = append(img, payload...)
-		}
-		again, good2, err := ReadTunedLog(img)
-		if err != nil || good2 != int64(len(img)) || len(again) != len(recs) {
-			t.Fatalf("re-encoded tuned log does not replay: err=%v good=%d/%d n=%d/%d", err, good2, len(img), len(again), len(recs))
-		}
-	})
-}
-
 // crcOf is a test shorthand for the frame checksum.
 func crcOf(payload []byte) uint32 {
 	return crc32.Checksum(payload, castagnoli)

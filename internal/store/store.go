@@ -48,8 +48,7 @@ type Store struct {
 
 	mu      sync.Mutex
 	f       *os.File
-	records []Record      // journal contents replayed at Open
-	tuned   []TunedRecord // tuned-schedule log contents (see tuned.go)
+	records []Record // journal contents replayed at Open
 	// obs / ckObs are the replication hooks (see sidelog.go): obs observes
 	// fsync'd appends in order, ckObs observes saved checkpoints.
 	obs   func(Record)
@@ -78,10 +77,6 @@ func Open(dir string) (*Store, error) {
 		return nil, fmt.Errorf("store: stat journal: %w", err)
 	}
 	s := &Store{dir: dir, f: f}
-	if err := s.loadTuned(); err != nil {
-		f.Close()
-		return nil, err
-	}
 	if st.Size() == 0 {
 		if err := s.writeHeader(); err != nil {
 			f.Close()

@@ -54,47 +54,7 @@ func TestConformanceTunedNeverWorse(t *testing.T) {
 	}
 }
 
-// Contract point 2: a schedule that round-trips through its persisted
-// record form executes BIT-IDENTICALLY to the in-memory original — same
-// family, same pipelining, same floating-point operation order — on the
-// emulated backend's reference kernels. This is the guarantee that lets
-// the service warm-load schedules from disk without changing any result.
-func TestConformanceSerializedScheduleBitIdentical(t *testing.T) {
-	sh := Shape{N: 96, Dim: 2}
-	rep, err := Search(sh, Params{}, Options{Random: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := rep.Winner
-	back, err := ScheduleFromRecord(w.Record())
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := matrix.RandomSymmetric(sh.N, rand.New(rand.NewSource(77)))
-	run := func(sc *Schedule) *engine.EigenResult {
-		fam, err := sc.Family()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return emulatedSolve(t, a, sh.Dim, fam, sc.Pipelined, sc.PipelineQ)
-	}
-	orig, loaded := run(w), run(back)
-	if len(orig.Values) != len(loaded.Values) {
-		t.Fatalf("value counts differ: %d vs %d", len(orig.Values), len(loaded.Values))
-	}
-	for i := range orig.Values {
-		if orig.Values[i] != loaded.Values[i] {
-			t.Fatalf("eigenvalue %d differs bitwise: %x vs %x",
-				i, math.Float64bits(orig.Values[i]), math.Float64bits(loaded.Values[i]))
-		}
-	}
-	if orig.Sweeps != loaded.Sweeps || orig.Rotations != loaded.Rotations {
-		t.Fatalf("execution diverged: sweeps %d/%d rotations %d/%d",
-			orig.Sweeps, loaded.Sweeps, orig.Rotations, loaded.Rotations)
-	}
-}
-
-// Contract point 3: a tuned plan changes the rotation order, not the
+// Contract point 2: a tuned plan changes the rotation order, not the
 // spectrum — its converged eigenvalues agree with the baseline ordering's
 // to well within the convergence tolerance (the same tolerance-level
 // agreement DESIGN.md grants communication pipelining, note 11).

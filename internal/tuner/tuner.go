@@ -1,9 +1,10 @@
 // Package tuner is the ordering auto-tuner (DESIGN.md §14): it searches
 // Jacobi ordering families and sequence transforms per job shape
 // (n, d, topology, ports), using the analytic execution backend — which
-// replays the paper's timing model in microseconds — as the search oracle,
-// and keeps the winners in a registry the batch-solve service consults on
-// every submit.
+// replays the paper's timing model in microseconds — as the search oracle.
+// It is an offline research tool behind `jacobitool tune` (and the tuned
+// makespan line of `jacobitool bench`): nothing it finds changes what the
+// batch-solve service runs.
 //
 // Contract (enforced by Search and the conformance suite):
 //
@@ -13,27 +14,18 @@
 //     model (costmodel.BaselineSweepCost / PipelinedSweepCost);
 //   - the winner's analytic makespan is ≤ the baseline ordering's — the
 //     baseline itself is always candidate zero, so tuning can only help;
-//   - a tuned schedule round-trips bit-identically through serialization
-//     (store.TunedRecord): running the reloaded schedule produces exactly
-//     the results of the in-memory one.
-//
-// Winners are persisted through internal/store as CRC-framed tuned-schedule
-// records and warm-loaded at boot (LoadRegistry), so every cached win
-// speeds all future traffic across restarts.
+//   - a winner changes the rotation order, not the spectrum: its converged
+//     eigenvalues agree with the baseline ordering's.
 package tuner
 
 import (
 	"fmt"
-	"hash/fnv"
-	"sort"
 
 	"repro/internal/ordering"
-	"repro/internal/store"
 )
 
 // TopologyHypercube is the only modeled network today; the shape keeps the
-// field so Z-cube and LACIN variants (ROADMAP item 2) slot in without a
-// record-format change.
+// field so Z-cube and LACIN variants (ROADMAP item 2) slot in.
 const TopologyHypercube = "hypercube"
 
 // Shape identifies a class of jobs the tuner optimizes as one unit: matrix
@@ -56,7 +48,7 @@ func (sh Shape) normalize() Shape {
 	return sh
 }
 
-// Key is the canonical registry and metrics key, e.g. "hypercube/n512/d3/p0".
+// Key is the canonical shape key, e.g. "hypercube/n512/d3/p0".
 func (sh Shape) Key() string {
 	sh = sh.normalize()
 	return fmt.Sprintf("%s/n%d/d%d/p%d", sh.Topology, sh.N, sh.Dim, sh.Ports)
@@ -114,94 +106,4 @@ func (sc *Schedule) Family() (ordering.Family, error) {
 		return ordering.FamilyByName(sc.Canonical)
 	}
 	return ordering.FamilyFromSerialized(sc.FamilyName, sc.Phases)
-}
-
-// Gain is the analytic one-sweep makespan saved versus the baseline
-// ordering (never negative for schedules produced by Search).
-func (sc *Schedule) Gain() float64 {
-	g := sc.BaselineMakespan - sc.TunedMakespan
-	if g < 0 {
-		return 0
-	}
-	return g
-}
-
-// Fingerprint hashes the execution plan (shape, ordering, pipelining) so
-// the service can fold "which schedule ran" into its result-cache job
-// fingerprints: a re-tuned shape must not be served another plan's cached
-// result.
-func (sc *Schedule) Fingerprint() uint64 {
-	h := fnv.New64a()
-	add := func(s string) {
-		h.Write([]byte(s))
-		h.Write([]byte{0})
-	}
-	add(sc.Shape.Key())
-	add(sc.FamilyName)
-	add(sc.Canonical)
-	dims := make([]int, 0, len(sc.Phases))
-	for e := range sc.Phases {
-		dims = append(dims, e)
-	}
-	sort.Ints(dims)
-	for _, e := range dims {
-		add(fmt.Sprintf("%d=%s", e, sc.Phases[e]))
-	}
-	add(fmt.Sprintf("pipe=%v/q=%d", sc.Pipelined, sc.PipelineQ))
-	return h.Sum64()
-}
-
-// Record converts the schedule to its persistent store form.
-func (sc *Schedule) Record() store.TunedRecord {
-	sh := sc.Shape.normalize()
-	var phases map[int]string
-	if len(sc.Phases) > 0 {
-		phases = make(map[int]string, len(sc.Phases))
-		for e, s := range sc.Phases {
-			phases[e] = s
-		}
-	}
-	return store.TunedRecord{
-		N:                sh.N,
-		Dim:              sh.Dim,
-		Ports:            sh.Ports,
-		Topology:         sh.Topology,
-		Family:           sc.FamilyName,
-		Canonical:        sc.Canonical,
-		Phases:           phases,
-		Pipelined:        sc.Pipelined,
-		PipelineQ:        sc.PipelineQ,
-		BaselineMakespan: sc.BaselineMakespan,
-		TunedMakespan:    sc.TunedMakespan,
-		Candidates:       sc.Candidates,
-	}
-}
-
-// ScheduleFromRecord validates and converts a persisted record back into a
-// runnable schedule. The ordering is materialized once here so a corrupt or
-// skewed record is rejected at load time, not at job time.
-func ScheduleFromRecord(rec store.TunedRecord) (*Schedule, error) {
-	sc := &Schedule{
-		Shape:            Shape{N: rec.N, Dim: rec.Dim, Ports: rec.Ports, Topology: rec.Topology}.normalize(),
-		FamilyName:       rec.Family,
-		Canonical:        rec.Canonical,
-		Pipelined:        rec.Pipelined,
-		PipelineQ:        rec.PipelineQ,
-		BaselineMakespan: rec.BaselineMakespan,
-		TunedMakespan:    rec.TunedMakespan,
-		Candidates:       rec.Candidates,
-	}
-	if len(rec.Phases) > 0 {
-		sc.Phases = make(map[int]string, len(rec.Phases))
-		for e, s := range rec.Phases {
-			sc.Phases[e] = s
-		}
-	}
-	if err := sc.Shape.validate(); err != nil {
-		return nil, err
-	}
-	if _, err := sc.Family(); err != nil {
-		return nil, fmt.Errorf("tuner: tuned record for %s: %w", sc.Shape.Key(), err)
-	}
-	return sc, nil
 }
