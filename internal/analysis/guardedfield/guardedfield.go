@@ -10,6 +10,15 @@
 // order tracking Lock/Unlock pairs (defer mu.Unlock() holds to function
 // end; locks taken inside a conditional do not leak past it).
 //
+// A field whose comment also says
+//
+//	written only by <fn>
+//
+// may be assigned, incremented or have its address taken only inside the
+// function or method named <fn>: the one-writer rule for a state that
+// moves through a single transition method. Composite-literal keys
+// initialize a value that has not escaped yet and are not writes.
+//
 // Deliberate approximations, documented in the annotation grammar:
 //   - methods whose receiver is the guarded struct's own type are exempt
 //     when the guard lives on an enclosing type (guarded by Type.mu) —
@@ -22,6 +31,7 @@ package guardedfield
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"regexp"
 	"strings"
@@ -37,7 +47,10 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-var guardedRe = regexp.MustCompile(`guarded by ([A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)?)`)
+var (
+	guardedRe = regexp.MustCompile(`guarded by ([A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)?)`)
+	writerRe  = regexp.MustCompile(`written only by ([A-Za-z_][A-Za-z0-9_]*)`)
+)
 
 // guard describes one guarded field.
 type guard struct {
@@ -52,8 +65,8 @@ type guard struct {
 
 func run(pass *analysis.Pass) (interface{}, error) {
 	allows := lintutil.CollectAllows(pass)
-	guards := collectGuards(pass)
-	if len(guards) == 0 {
+	guards, writers := collectGuards(pass)
+	if len(guards) == 0 && len(writers) == 0 {
 		return nil, nil
 	}
 	for _, f := range pass.Files {
@@ -62,6 +75,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			if !ok || fd.Body == nil {
 				continue
 			}
+			checkWriters(pass, allows, writers, fd)
 			if strings.HasSuffix(fd.Name.Name, "Locked") {
 				continue // caller-holds-the-lock convention
 			}
@@ -79,11 +93,13 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	return nil, nil
 }
 
-// collectGuards parses guarded-by annotations on struct fields. A
-// type-level annotation (on the type's doc comment) guards every field
-// of the struct.
-func collectGuards(pass *analysis.Pass) map[fieldKey]guard {
+// collectGuards parses guarded-by annotations on struct fields, and the
+// written-only-by annotations into the field's sole writer's name. A
+// type-level guard annotation (on the type's doc comment) guards every
+// field of the struct.
+func collectGuards(pass *analysis.Pass) (map[fieldKey]guard, map[fieldKey]string) {
 	guards := make(map[fieldKey]guard)
+	writers := make(map[fieldKey]string)
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			gd, ok := decl.(*ast.GenDecl)
@@ -107,15 +123,17 @@ func collectGuards(pass *analysis.Pass) map[fieldKey]guard {
 				if !ok {
 					continue
 				}
-				typeGuard := guardSpec(ts.Doc)
+				typeGuard := match(guardedRe, ts.Doc)
 				if typeGuard == "" && gd.Doc != nil && len(gd.Specs) == 1 {
-					typeGuard = guardSpec(gd.Doc)
+					typeGuard = match(guardedRe, gd.Doc)
 				}
 				for _, fld := range st.Fields.List {
-					spec := guardSpec(fld.Doc)
-					if spec == "" {
-						spec = guardSpec(fld.Comment)
+					if w := match(writerRe, fld.Doc, fld.Comment); w != "" {
+						for _, name := range fld.Names {
+							writers[fieldKey{named.Obj(), name.Name}] = w
+						}
 					}
+					spec := match(guardedRe, fld.Doc, fld.Comment)
 					if spec == "" {
 						spec = typeGuard
 					}
@@ -139,7 +157,7 @@ func collectGuards(pass *analysis.Pass) map[fieldKey]guard {
 			}
 		}
 	}
-	return guards
+	return guards, writers
 }
 
 type fieldKey struct {
@@ -147,15 +165,70 @@ type fieldKey struct {
 	field string
 }
 
-func guardSpec(cg *ast.CommentGroup) string {
-	if cg == nil {
-		return ""
+// match returns re's first submatch in the first comment group that has
+// one, or "".
+func match(re *regexp.Regexp, groups ...*ast.CommentGroup) string {
+	for _, cg := range groups {
+		if cg == nil {
+			continue
+		}
+		if m := re.FindStringSubmatch(cg.Text()); m != nil {
+			return m[1]
+		}
 	}
-	m := guardedRe.FindStringSubmatch(cg.Text())
-	if m == nil {
-		return ""
+	return ""
+}
+
+// checkWriters reports writes to a written-only-by field from any function
+// but its writer: assignments, increments, and taking its address (a
+// pointer to the field is a write waiting to happen).
+func checkWriters(pass *analysis.Pass, allows *lintutil.Allows, writers map[fieldKey]string, fd *ast.FuncDecl) {
+	if len(writers) == 0 {
+		return
 	}
-	return m[1]
+	check := func(e ast.Expr) {
+		sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+		if !ok {
+			return
+		}
+		key, ok := fieldKeyOf(pass, sel)
+		if w, restricted := writers[key]; ok && restricted && w != fd.Name.Name {
+			allows.Report(pass, sel.Sel.Pos(), "%s.%s is written only by %s", key.owner.Name(), key.field, w)
+		}
+	}
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				check(lhs)
+			}
+		case *ast.IncDecStmt:
+			check(n.X)
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				check(n.X)
+			}
+		}
+		return true
+	})
+}
+
+// fieldKeyOf resolves a field selector to its declaring named struct and
+// field name.
+func fieldKeyOf(pass *analysis.Pass, sel *ast.SelectorExpr) (fieldKey, bool) {
+	s, ok := pass.TypesInfo.Selections[sel]
+	if !ok || s.Kind() != types.FieldVal {
+		return fieldKey{}, false
+	}
+	base := s.Recv()
+	if p, ok := base.(*types.Pointer); ok {
+		base = p.Elem()
+	}
+	named, ok := base.(*types.Named)
+	if !ok {
+		return fieldKey{}, false
+	}
+	return fieldKey{named.Obj(), sel.Sel.Name}, true
 }
 
 func parseGuard(owner *types.Named, spec string) guard {
@@ -457,23 +530,12 @@ func (w *walker) expr(e ast.Expr) {
 }
 
 func (w *walker) checkSelector(sel *ast.SelectorExpr) {
-	s, ok := w.pass.TypesInfo.Selections[sel]
-	if !ok || s.Kind() != types.FieldVal {
-		return
-	}
-	base := s.Recv()
-	if p, ok := base.(*types.Pointer); ok {
-		base = p.Elem()
-	}
-	named, ok := base.(*types.Named)
+	key, ok := fieldKeyOf(w.pass, sel)
 	if !ok {
 		return
 	}
-	g, ok := w.guards[fieldKey{named.Obj(), sel.Sel.Name}]
-	if !ok {
-		return
-	}
-	if w.exempt[named.Obj()] {
+	g, ok := w.guards[key]
+	if !ok || w.exempt[key.owner] {
 		return
 	}
 	// Resolve which expression must have the guard: the selector base
@@ -496,7 +558,7 @@ func (w *walker) checkSelector(sel *ast.SelectorExpr) {
 	}
 	w.allows.Report(w.pass, sel.Sel.Pos(),
 		"%s.%s is guarded by %s but accessed without holding it",
-		named.Obj().Name(), sel.Sel.Name, muPath)
+		key.owner.Name(), key.field, muPath)
 }
 
 // isBuilt reports whether the base expression's root identifier was

@@ -10,3 +10,7 @@ import (
 func TestGuardedField(t *testing.T) {
 	atest.Run(t, "testdata", guardedfield.Analyzer, "guarded")
 }
+
+func TestWrittenOnlyBy(t *testing.T) {
+	atest.Run(t, "testdata", guardedfield.Analyzer, "writers")
+}

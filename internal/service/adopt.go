@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"time"
 
 	"repro/internal/engine"
 	"repro/internal/store"
@@ -50,16 +49,14 @@ func (s *Service) Adopt(records []store.Record, loadCkpt func(id string) (*engin
 	_, order := foldRecords(records)
 	sort.SliceStable(order, func(i, k int) bool { return order[i].seq < order[k].seq })
 
-	now := time.Now()
-	var adopted []*recoveredJob
 	for _, r := range order {
-		if r.state == "" && r.spec.Matrix == nil {
+		if r.live() && r.spec.Matrix == nil {
 			fmt.Fprintf(os.Stderr, "service: adopt: job %s has no matrix payload, dropped\n", r.id)
 			stats.Skipped++
 			continue
 		}
 		var resume *engine.Checkpoint
-		if r.state == "" && loadCkpt != nil {
+		if r.live() && loadCkpt != nil {
 			ck, err := loadCkpt(r.id)
 			switch {
 			case err == nil:
@@ -94,60 +91,19 @@ func (s *Service) Adopt(records []store.Record, loadCkpt func(id string) (*engin
 		r.seq = s.seq
 		s.mu.Unlock()
 
-		j := s.rebuildJob(r, now)
-		if r.state == "" {
-			if r.started {
-				r.restarts++
-				j.restarts = r.restarts
-			}
-			if resume != nil {
-				j.resume = resume
-				j.resumedFrom = resume.Sweep
-				stats.Resumed++
-			}
-		}
-
-		// Snapshot the restored result under the job lock once: the job is
-		// about to become visible in s.jobs.
-		j.mu.Lock()
-		res := j.result
-		j.mu.Unlock()
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
+		if !s.registerRestored(s.rebuildJob(r, resume), r.live()) {
 			stats.Skipped++
 			continue
 		}
-		s.jobs[j.id] = j
-		s.order = append(s.order, j.id)
-		if r.key != "" {
-			s.idem[r.key] = j.id
-		}
-		switch r.state {
-		case StateDone:
-			s.metrics.RecoveredDone++
-			if res != nil {
-				s.metrics.TotalModeledMakespan += res.Makespan
-			}
+		switch {
+		case !r.live():
 			stats.Terminal++
-		case StateFailed:
-			s.metrics.RecoveredFailed++
-			stats.Terminal++
-		case StateCanceled:
-			s.metrics.RecoveredCanceled++
-			stats.Terminal++
-		case "":
-			s.metrics.Submitted++
-			j.publish(Event{Type: EventQueued, State: StateQueued})
-			s.enqueueLocked(j)
+		case resume != nil:
+			stats.Live++
+			stats.Resumed++
+		default:
 			stats.Live++
 		}
-		s.evictOldJobsLocked()
-		s.mu.Unlock()
-		if r.state == StateDone && res != nil && s.cfg.CacheCap >= 0 && r.fp != 0 {
-			s.cacheStore(r.fp, res)
-		}
-		adopted = append(adopted, r)
 
 		// Make the adoption durable: the peer's records land in the own
 		// journal verbatim (fresh seq lives only in memory; the ID's

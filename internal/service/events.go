@@ -144,15 +144,15 @@ type jobEvents struct {
 // subscriber; terminal events close every subscriber channel afterwards.
 // Callers pass ev with Type/State/Sweep/CacheHit/Error set; Seq and Time
 // are stamped here. Publishes for one job are serialized by its lifecycle
-// (submit → worker → node-0 sweep hook → finish), and the event lock makes
-// them atomic against Subscribe.
+// (submit → worker → node-0 sweep hook → terminal transition), and the
+// event lock makes them atomic against Subscribe.
 func (j *Job) publish(ev Event) {
 	ev.JobID = j.id
 	ev.Time = time.Now()
 	j.evMu.Lock()
 	defer j.evMu.Unlock()
 	if j.ev.closed {
-		return // finish is exactly-once, but be safe against late hooks
+		return // the terminal transition is exactly-once; late hooks land here
 	}
 	j.ev.seq++
 	ev.Seq = j.ev.seq

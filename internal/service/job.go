@@ -325,7 +325,7 @@ func (r *Result) clone() *Result {
 // exported methods are safe for concurrent use.
 type Job struct {
 	id       string
-	spec     JobSpec   // guarded by mu (the Matrix field is released at finish)
+	spec     JobSpec   // guarded by mu (the Matrix field is released when terminal)
 	n        int       // matrix size, outliving the released matrix
 	shape    laneShape // lane-compatibility key; immutable after construction
 	backend  string    // resolved by auto-selection at submission
@@ -340,11 +340,12 @@ type Job struct {
 
 	index int // heap position (-1 once dequeued)
 	// inflight marks a job a worker took off the queue and counted in
-	// Service.inflight; recordFinish releases the slot.
+	// Service.inflight; its terminal transition releases the slot.
 	inflight bool // guarded by Service.mu
 
-	mu        sync.Mutex
-	state     State     // guarded by mu
+	mu sync.Mutex
+	// state moves only through the lifecycle table (lifecycle.go).
+	state     State     // guarded by mu; written only by apply
 	err       error     // guarded by mu
 	result    *Result   // guarded by mu
 	cacheHit  bool      // guarded by mu
@@ -371,15 +372,31 @@ type Job struct {
 	ev   jobEvents
 }
 
+// newJob builds a job of the service, born queued: its literal is the one
+// place a job's state is set other than by the lifecycle table.
+func (s *Service) newJob(ctx context.Context, spec JobSpec, n int, backend string, fp uint64, key string) *Job {
+	jctx, cancel := context.WithCancelCause(ctx)
+	return &Job{
+		spec:      spec,
+		n:         n,
+		shape:     laneShapeOf(n, spec),
+		backend:   backend,
+		fp:        fp,
+		priority:  spec.Priority,
+		tenant:    tenantName(spec.Tenant),
+		ctx:       jctx,
+		cancel:    cancel,
+		svc:       s,
+		state:     StateQueued,
+		submitted: time.Now(),
+		done:      make(chan struct{}),
+		index:     -1,
+		idemKey:   key,
+	}
+}
+
 // ID returns the service-assigned job identifier.
 func (j *Job) ID() string { return j.id }
-
-// Label returns the spec's label.
-func (j *Job) Label() string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.spec.Label
-}
 
 // Backend returns the resolved execution backend. A lane-routed job that
 // ends its gather alone re-resolves to a solo backend, so the
@@ -538,56 +555,4 @@ func (j *Job) Status() Status {
 		st.RunMs = float64(end.Sub(j.started).Microseconds()) / 1000
 	}
 	return st
-}
-
-// finish moves the job to a terminal state exactly once, journals and
-// counts the transition, then wakes subscribers and waiters. It must be
-// called without s.mu held.
-func (j *Job) finish(state State, res *Result, err error, cacheHit bool) {
-	j.mu.Lock()
-	if j.state == StateDone || j.state == StateFailed || j.state == StateCanceled {
-		j.mu.Unlock()
-		return
-	}
-	j.state = state
-	j.result = res
-	j.err = err
-	j.cacheHit = cacheHit
-	j.finished = time.Now()
-	if j.started.IsZero() {
-		j.started = j.finished
-	}
-	runMs := float64(j.finished.Sub(j.started).Microseconds()) / 1000
-	// Release the input matrix: the record lives on for status/result
-	// queries, which no longer need the O(n²) payload.
-	j.spec.Matrix = nil
-	j.mu.Unlock()
-	j.cancel(nil) // release the context's resources
-	if j.svc != nil {
-		// Persist the terminal transition (durable stores only). Jobs
-		// canceled by a service shutdown are deliberately NOT recorded:
-		// they stay in-flight in the journal and resume on the next boot.
-		j.svc.persistFinished(j, state, res, err)
-		// Count the job before done is signaled, so a caller returning
-		// from Wait finds it in Metrics.
-		j.svc.recordFinish(j, state, res, cacheHit, runMs)
-	}
-	var et EventType
-	switch state {
-	case StateDone:
-		et = EventDone
-	case StateFailed:
-		et = EventFailed
-	default:
-		et = EventCanceled
-	}
-	ev := Event{Type: et, State: state, CacheHit: cacheHit}
-	if err != nil {
-		ev.Error = err.Error()
-	}
-	// The terminal event is published (and every subscriber channel closed)
-	// before done is signaled, so a caller returning from Wait observes a
-	// complete event stream.
-	j.publish(ev)
-	close(j.done)
 }

@@ -2,12 +2,10 @@ package service
 
 import (
 	"container/heap"
-	"context"
 	"time"
 
 	"repro/internal/engine"
 	"repro/internal/ordering"
-	"repro/internal/store"
 )
 
 // The batch-lane scheduler: when a worker pops a lane-routed job (the
@@ -121,7 +119,7 @@ func (s *Service) gatherLane(leader *Job) []*Job {
 			if m == nil {
 				break
 			}
-			s.startLocked(m)
+			s.claimLocked(m)
 			lane = append(lane, m)
 		}
 		if len(lane) >= s.cfg.LaneWidth || s.closed {
@@ -180,40 +178,19 @@ func (s *Service) popLaneMateLocked(leader *Job) *Job {
 func (s *Service) executeLane(lane []*Job) {
 	run := make([]*Job, 0, len(lane))
 	for _, j := range lane {
-		if j.ctx.Err() != nil {
-			j.finish(StateCanceled, nil, context.Cause(j.ctx), false)
-			continue
-		}
-		if j.hasResume() {
+		switch {
+		case j.abortIfCanceled():
+		case j.hasResume():
 			// A resumed job restarts mid-solve from an engine checkpoint,
 			// which only the solo paths restore.
 			s.rerouteSolo(j)
-			continue
+		case !s.serveCached(j):
+			run = append(run, j)
 		}
-		if s.cfg.Store != nil {
-			// Best-effort, as in execute: a lost start record only means
-			// recovery re-enqueues the job as queued instead of resumed.
-			_ = s.cfg.Store.Append(store.Record{Kind: store.KindStarted, ID: j.id})
-		}
-		if res, ok := s.cacheLookup(j.fp); ok {
-			j.mu.Lock()
-			j.started = time.Now()
-			j.mu.Unlock()
-			j.publish(Event{Type: EventStarted, State: StateRunning})
-			j.finish(StateDone, res, nil, true)
-			continue
-		}
-		run = append(run, j)
-	}
-	loneAuto := false
-	if len(run) == 1 {
-		run[0].mu.Lock()
-		loneAuto = run[0].spec.Backend == BackendAuto
-		run[0].mu.Unlock()
 	}
 	switch {
 	case len(run) == 0:
-	case loneAuto:
+	case len(run) == 1 && run[0].Spec().Backend == BackendAuto:
 		// The gather ended without mates: re-check the job's shape
 		// against the solo auto-selection rules so it solves promptly.
 		s.rerouteSolo(run[0])
@@ -256,7 +233,7 @@ func (s *Service) runLane(jobs []*Job) {
 	fam, err := ordering.FamilyByName(spec0.Ordering)
 	if err != nil {
 		for _, j := range jobs {
-			j.finish(StateFailed, nil, err, false)
+			j.apply(change{ev: evFail, err: err})
 		}
 		return
 	}
@@ -264,12 +241,7 @@ func (s *Service) runLane(jobs []*Job) {
 	writers := make([]*ckptWriter, len(jobs))
 	var prepErr error
 	for i, j := range jobs {
-		j.mu.Lock()
-		j.state = StateRunning
-		j.started = time.Now()
-		j.mu.Unlock()
-		j.publish(Event{Type: EventStarted, State: StateRunning})
-		jj := j
+		j.apply(change{ev: evStart})
 		spec := j.Spec()
 		prob, err := engine.NewProblem(spec.Matrix, spec0.Dim, nil)
 		if err != nil {
@@ -282,18 +254,8 @@ func (s *Service) runLane(jobs []*Job) {
 			Rows:        prob.Rows,
 			FixedSweeps: spec.FixedSweeps,
 			TraceGram:   prob.TraceGram,
-			Interrupt:   func() bool { return jj.ctx.Err() != nil },
-			OnSweep: func(p engine.SweepProgress) {
-				jj.publish(Event{Type: EventSweep, State: StateRunning, Sweep: &SweepEvent{
-					Sweep:     p.Sweep,
-					MaxRel:    p.MaxRel,
-					OffNorm:   p.OffNorm,
-					Rotations: p.Rotations,
-				}})
-				if sweepHook != nil {
-					sweepHook(jj, p)
-				}
-			},
+			Interrupt:   func() bool { return j.ctx.Err() != nil },
+			OnSweep:     j.publishSweep,
 		}
 		if s.checkpoints(spec) {
 			w := newCkptWriter(s, j.id, shapeOf(BackendLane, spec))
@@ -318,10 +280,9 @@ func (s *Service) runLane(jobs []*Job) {
 	}
 	for i, j := range jobs {
 		switch {
-		case j.ctx.Err() != nil:
-			j.finish(StateCanceled, nil, context.Cause(j.ctx), false)
+		case j.abortIfCanceled():
 		case laneErr != nil:
-			j.finish(StateFailed, nil, laneErr, false)
+			j.apply(change{ev: evFail, err: laneErr})
 		default:
 			eig := outs[i].Eigen()
 			res := &Result{
@@ -337,8 +298,7 @@ func (s *Service) runLane(jobs []*Job) {
 			if w := writers[i]; w != nil {
 				s.ckpt.observeRun(w.key, res)
 			}
-			s.cacheStore(j.fp, res)
-			j.finish(StateDone, res, nil, false)
+			j.apply(change{ev: evDone, res: res})
 		}
 	}
 }

@@ -2,12 +2,9 @@ package service
 
 import (
 	"container/heap"
-	"context"
 	"errors"
 	"fmt"
 	"time"
-
-	"repro/internal/store"
 )
 
 // This file is the service's work-stealing surface, consumed by the
@@ -46,11 +43,11 @@ type lentEntry struct {
 
 // LendQueued removes up to max queued jobs from the priority queue and
 // hands them out for remote execution under a lease. Lent jobs count as
-// in-flight (they left the queue but are not terminal), emit their started
-// event here, and are journaled as started — exactly as if a local worker
-// had dequeued them. Jobs that cannot travel are skipped: already-canceled
-// ones, and resumable ones holding a checkpoint (the checkpoint lives in
-// the victim's store; shipping it is not worth the lane). Lane-routed
+// in-flight (they left the queue but are not terminal) and take their
+// start transition here — exactly as if a local worker had dequeued them.
+// Jobs that cannot travel are skipped: already-canceled ones, and
+// resumable ones holding a checkpoint (the checkpoint lives in the
+// victim's store; shipping it is not worth the lane). Lane-routed
 // specs re-resolve to a solo backend for the thief. The lowest-priority,
 // youngest queued jobs go first — the thief relieves the back of the
 // queue, never races the victim's own workers for the front.
@@ -90,26 +87,38 @@ func (s *Service) LendQueued(max int, lease time.Duration) []LentJob {
 		j := heap.Remove(&s.queue, v).(*Job)
 		s.noteDequeuedLocked(j)
 		s.inflight++
-		s.lent[j.id] = &lentEntry{job: j, until: until}
 		picked = append(picked, j)
+	}
+	// The start transitions journal, so they run outside s.mu; subWG keeps
+	// a closing service's store open until they are done.
+	s.subWG.Add(1)
+	defer s.subWG.Done()
+	s.mu.Unlock()
+
+	// Nothing else holds the picked jobs until they are registered as
+	// loans below, so no settler or Close can finish one before it starts.
+	for _, j := range picked {
+		j.apply(change{ev: evStart})
+	}
+	s.mu.Lock()
+	if s.closed {
+		s.inflight -= len(picked)
+		s.mu.Unlock()
+		// Close missed these loans: drop them like the ones it settled.
+		for _, j := range picked {
+			j.abort(ErrShutdown)
+		}
+		return nil
+	}
+	for _, j := range picked {
+		s.lent[j.id] = &lentEntry{job: j, until: until}
 	}
 	s.mu.Unlock()
 
 	out := make([]LentJob, 0, len(picked))
 	for _, j := range picked {
-		j.mu.Lock()
-		j.state = StateRunning
-		j.started = time.Now()
-		spec := j.spec
-		j.mu.Unlock()
-		if s.cfg.Store != nil {
-			// Same best-effort start record a local dequeue writes: a lost
-			// one only downgrades a crash recovery from "resume" to
-			// "re-enqueue".
-			_ = s.cfg.Store.Append(store.Record{Kind: store.KindStarted, ID: j.id})
-		}
-		j.publish(Event{Type: EventStarted, State: StateRunning})
-		backend := j.backend
+		spec := j.Spec()
+		backend := j.Backend()
 		if backend == BackendLane || backend == BackendAuto {
 			backend = spec.selectBackend(s.cfg.MulticoreThreshold, 0)
 		}
@@ -129,17 +138,13 @@ func (s *Service) CompleteLent(id string, res *Result, errMsg string) bool {
 		return false
 	}
 	switch {
-	case j.ctx.Err() != nil:
-		j.finish(StateCanceled, nil, context.Cause(j.ctx), false)
+	case j.abortIfCanceled():
 	case errMsg != "":
-		err := fmt.Errorf("service: remote solve: %s", errMsg)
-		j.finish(StateFailed, nil, err, false)
+		j.apply(change{ev: evFail, err: fmt.Errorf("service: remote solve: %s", errMsg)})
 	case res == nil:
-		err := errors.New("service: remote solve returned no result")
-		j.finish(StateFailed, nil, err, false)
+		j.apply(change{ev: evFail, err: errors.New("service: remote solve returned no result")})
 	default:
-		s.cacheStore(j.fp, res)
-		j.finish(StateDone, res, nil, false)
+		j.apply(change{ev: evDone, res: res})
 	}
 	return true
 }
@@ -172,27 +177,22 @@ func (s *Service) settleLent(id string) *Job {
 	return e.job
 }
 
-// requeueLent pushes a settled loan back into the queue (state back to
-// queued, a fresh queued event so watchers see the bounce). A canceled or
+// requeueLent pushes a settled loan back into the queue through the
+// requeue transition, whose fresh queued event lets watchers see the
+// bounce before any worker can start the job again. A canceled job or a
 // closed service finishes it instead.
 func (s *Service) requeueLent(j *Job) {
-	if j.ctx.Err() != nil {
-		j.finish(StateCanceled, nil, context.Cause(j.ctx), false)
+	if j.abortIfCanceled() || !j.apply(change{ev: evRequeue}) {
 		return
 	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		j.cancel(ErrShutdown)
-		j.finish(StateCanceled, nil, ErrShutdown, false)
+		j.abort(ErrShutdown)
 		return
 	}
-	j.mu.Lock()
-	j.state = StateQueued
-	j.mu.Unlock()
 	s.enqueueLocked(j)
 	s.mu.Unlock()
-	j.publish(Event{Type: EventQueued, State: StateQueued})
 	s.cond.Signal()
 }
 

@@ -89,33 +89,46 @@ func percentile(sorted []float64, p float64) float64 {
 	return sorted[idx]
 }
 
-// recordFinish folds one terminal transition into the metrics; Job.finish
-// calls it exactly once per job. A worker-run job leaves the in-flight
-// gauge in the same critical section, so the accounting invariant
-// (submitted == terminal + queued + in flight) holds at every snapshot.
-// A cache hit counts as a completion with its (near-zero) service
-// latency, but its modeled makespan is not re-added: the aggregate tracks
-// work actually executed. Failed and canceled jobs record their wall time
-// in their outcome's latency stats, so overload outcomes show up in the
-// percentiles they are meant to protect.
-func (s *Service) recordFinish(j *Job, state State, res *Result, cacheHit bool, runMs float64) {
+// recordFinish folds one terminal transition into the metrics; the
+// transition (Job.apply) calls it exactly once per job. A worker-run job
+// leaves the in-flight gauge in the same critical section, so the
+// accounting invariant (submitted == terminal + queued + in flight) holds
+// at every snapshot. A cache hit counts as a completion with its
+// (near-zero) service latency, but its modeled makespan is not re-added:
+// the aggregate tracks work actually executed. Failed and canceled jobs
+// record their wall time in their outcome's latency stats, so overload
+// outcomes show up in the percentiles they are meant to protect.
+//
+// Jobs restored from a journal count under the recovered_* counters, not
+// completed/failed/canceled: the this-boot counters feed jobs_per_sec
+// (completions divided by this process's uptime), and folding a previous
+// life's work into them would inflate the rate right after every restart.
+// Their modeled makespan stays in the aggregate — that work really ran.
+func (s *Service) recordFinish(j *Job, to State, c change, runMs float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if j.inflight {
 		j.inflight = false
 		s.inflight--
 	}
-	switch state {
-	case StateDone:
-		makespan := res.Makespan
-		if cacheHit {
+	switch {
+	case c.restored && to == StateDone:
+		s.metrics.RecoveredDone++
+		s.metrics.TotalModeledMakespan += c.res.Makespan
+	case c.restored && to == StateFailed:
+		s.metrics.RecoveredFailed++
+	case c.restored:
+		s.metrics.RecoveredCanceled++
+	case to == StateDone:
+		makespan := c.res.Makespan
+		if c.cacheHit {
 			makespan = 0
 		}
 		s.metrics.observe(runMs, makespan)
-	case StateFailed:
+	case to == StateFailed:
 		s.metrics.Failed++
 		s.metrics.wall[outFailed].record(runMs)
-	case StateCanceled:
+	default:
 		s.metrics.Canceled++
 		s.metrics.wall[outCanceled].record(runMs)
 	}

@@ -44,52 +44,80 @@ type recoveredJob struct {
 	fp       uint64
 	specRaw  []byte
 	spec     JobSpec
-	started  bool
+	pos      State // lifecycle position after the records replayed so far
 	restarts int
-	state    State // terminal state, "" while live
 	result   []byte
 	errMsg   string
 }
 
-// foldRecords folds a journal record stream into per-job accumulators:
-// one recoveredJob per submitted ID, started/restart/terminal markers
-// applied in replay order. Shared by crash recovery (the own journal) and
-// Adopt (a dead peer's shipped journal tail).
+// live reports whether the job still has to run.
+func (r *recoveredJob) live() bool { return !r.pos.terminal() }
+
+// foldRecords replays a journal record stream through the lifecycle table
+// into per-job accumulators, in journal order: submitted, started and
+// finished records are the submit, start and done/fail/cancel events. A
+// record the table refuses (a second submitted record, a started or
+// finished record for a job not yet submitted or already terminal) is
+// skipped and named on stderr, so a damaged journal still boots with the
+// first legal outcome of each job. A started record for a running job is
+// not one of them: a loan handed back unexecuted and started again writes
+// two, because requeues are not journaled. Shared by crash recovery (the
+// own journal) and Adopt (a dead peer's shipped journal tail).
 func foldRecords(records []store.Record) (map[string]*recoveredJob, []*recoveredJob) {
 	byID := make(map[string]*recoveredJob)
 	var order []*recoveredJob
 	for _, rec := range records {
+		r := byID[rec.ID]
+		if rec.Kind == store.KindRestarted {
+			if r != nil && rec.Restarts > r.restarts {
+				r.restarts = rec.Restarts
+			}
+			continue
+		}
+		from := stateUnsubmitted
+		if r != nil {
+			from = r.pos
+		}
+		ev, known := recordEvent(rec)
+		if known && ev == evStart && from == StateRunning {
+			continue
+		}
+		to, legal := next(from, ev)
+		if !known || !legal {
+			fmt.Fprintf(os.Stderr, "service: recovery: job %s: %s record skipped (job is %s)\n", rec.ID, rec.Kind, from)
+			continue
+		}
 		switch rec.Kind {
 		case store.KindSubmitted:
-			if _, dup := byID[rec.ID]; dup {
-				continue // corrupt double-submit; first wins
-			}
 			spec, err := decodeSpecBlob(rec.Spec)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "service: recovery: job %s spec unreadable, dropped: %v\n", rec.ID, err)
 				continue
 			}
-			r := &recoveredJob{id: rec.ID, key: rec.Key, backend: rec.Backend, fp: rec.Fp, specRaw: rec.Spec, spec: spec}
+			r = &recoveredJob{id: rec.ID, key: rec.Key, backend: rec.Backend, fp: rec.Fp, specRaw: rec.Spec, spec: spec}
 			r.seq, _ = seqOfID(rec.ID)
 			byID[rec.ID] = r
 			order = append(order, r)
-		case store.KindStarted:
-			if r := byID[rec.ID]; r != nil {
-				r.started = true
-			}
-		case store.KindRestarted:
-			if r := byID[rec.ID]; r != nil && rec.Restarts > r.restarts {
-				r.restarts = rec.Restarts
-			}
 		case store.KindFinished:
-			if r := byID[rec.ID]; r != nil && r.state == "" {
-				r.state = State(rec.State)
-				r.result = rec.Result
-				r.errMsg = rec.Err
-			}
+			r.result, r.errMsg = rec.Result, rec.Err
 		}
+		r.pos = to
 	}
 	return byID, order
+}
+
+// recordEvent maps a journal record to the lifecycle event it records.
+func recordEvent(rec store.Record) (event, bool) {
+	switch rec.Kind {
+	case store.KindSubmitted:
+		return evSubmit, true
+	case store.KindStarted:
+		return evStart, true
+	case store.KindFinished:
+		ev, ok := finishEvents[State(rec.State)]
+		return ev, ok
+	}
+	return 0, false
 }
 
 // recover replays the journal into the service. Called from New, before
@@ -115,92 +143,34 @@ func (s *Service) recover() {
 		prev = r.seq
 	}
 
-	now := time.Now()
 	recovered, resumed := 0, 0
+	live := make(map[string]bool)
 	for _, r := range order {
 		if r.seq == 0 {
 			continue // unparseable ID; cannot preserve ordering guarantees
 		}
-		if r.state == "" && r.spec.Matrix == nil {
+		if r.live() && r.spec.Matrix == nil {
 			// A live job needs its input to run again; a journal missing it
 			// (hand-edited or cross-version) cannot be honored.
 			fmt.Fprintf(os.Stderr, "service: recovery: job %s has no matrix payload, dropped\n", r.id)
 			continue
 		}
-		j := s.rebuildJob(r, now)
-		if r.state == "" {
-			// Live job: re-enqueue. A lost run bumps the restart counter;
-			// a checkpoint snapshot (whether or not the run got far enough
-			// to be marked started) sets the resume point.
-			if r.started {
-				r.restarts++
-				j.restarts = r.restarts
-			}
-			if ck, err := st.LoadCheckpoint(r.id); err == nil {
-				j.resume = ck
-				j.resumedFrom = ck.Sweep
+		// A checkpoint snapshot sets a live job's resume point, whether or
+		// not its run got far enough to be journaled as started.
+		var ck *engine.Checkpoint
+		if r.live() {
+			var err error
+			if ck, err = st.LoadCheckpoint(r.id); err == nil {
 				resumed++
 			} else if !errors.Is(err, store.ErrNoCheckpoint) {
 				fmt.Fprintf(os.Stderr, "service: recovery: job %s checkpoint unreadable, restarting from scratch: %v\n", r.id, err)
 				_ = st.DeleteCheckpoint(r.id)
 			}
 		}
-		// Snapshot the restored result under the job lock once: the job is
-		// about to become visible in s.jobs.
-		j.mu.Lock()
-		res := j.result
-		j.mu.Unlock()
-		s.mu.Lock()
-		if r.seq > s.seq {
-			s.seq = r.seq
-		}
-		s.jobs[j.id] = j
-		s.order = append(s.order, j.id)
-		if r.key != "" {
-			s.idem[r.key] = j.id
-		}
-		// Restored terminal jobs count under the recovered_* counters, NOT
-		// completed/failed/canceled: the this-boot counters feed jobs_per_sec
-		// (completions divided by THIS process's uptime), and folding a
-		// previous life's work into them inflated the reported rate by
-		// orders of magnitude right after every restart. Their modeled
-		// makespan stays in the aggregate — that work really ran. Only jobs
-		// re-entering this boot's pipeline count as submitted here; the
-		// recovered terminals were counted by the boot that accepted them.
-		switch r.state {
-		case StateDone:
-			s.metrics.RecoveredDone++
-			if res != nil {
-				s.metrics.TotalModeledMakespan += res.Makespan
-			}
-		case StateFailed:
-			s.metrics.RecoveredFailed++
-		case StateCanceled:
-			s.metrics.RecoveredCanceled++
-		case "":
-			s.metrics.Submitted++
-			j.publish(Event{Type: EventQueued, State: StateQueued})
-			s.enqueueLocked(j)
-		}
-		s.mu.Unlock()
-		if r.state == StateDone && res != nil && s.cfg.CacheCap >= 0 && r.fp != 0 {
-			s.cacheStore(r.fp, res)
-		}
+		s.registerRestored(s.rebuildJob(r, ck), r.live())
+		live[r.id] = r.live()
 		recovered++
 	}
-
-	s.mu.Lock()
-	s.evictOldJobsLocked()
-	live := make(map[string]bool)
-	for id, j := range s.jobs {
-		j.mu.Lock()
-		terminal := j.state == StateDone || j.state == StateFailed || j.state == StateCanceled
-		j.mu.Unlock()
-		if !terminal {
-			live[id] = true
-		}
-	}
-	s.mu.Unlock()
 	if err := s.compactJournal(byID); err != nil {
 		// Pre-swap failures leave the grown journal in place and appends
 		// keep working; post-swap adoption failures poison the store and
@@ -218,79 +188,77 @@ func (s *Service) recover() {
 	}
 }
 
-// rebuildJob materializes one journal job into a tracked *Job.
-func (s *Service) rebuildJob(r *recoveredJob, now time.Time) *Job {
-	ctx, cancel := context.WithCancelCause(context.Background())
-	j := &Job{
-		id:        r.id,
-		spec:      r.spec,
-		n:         r.spec.Dim, // placeholder; fixed below from the matrix
-		backend:   r.backend,
-		fp:        r.fp,
-		priority:  r.spec.Priority,
-		tenant:    tenantName(r.spec.Tenant),
-		seq:       r.seq,
-		ctx:       ctx,
-		cancel:    cancel,
-		svc:       s,
-		state:     StateQueued,
-		submitted: now,
-		done:      make(chan struct{}),
-		index:     -1,
-		idemKey:   r.key,
-		restarts:  r.restarts,
+// rebuildJob materializes one replayed job. It is born queued, like a
+// submitted job, with its queued event. A live job that the journal saw
+// running counts a restart, and resumes from ck when that is non-nil; a
+// terminal job takes its journaled outcome through the lifecycle as a
+// restored transition: no terminal record, recovered_* counters, its
+// result into the cache, and a started → terminal event pair.
+func (s *Service) rebuildJob(r *recoveredJob, ck *engine.Checkpoint) *Job {
+	if r.pos == StateRunning {
+		r.restarts++
 	}
+	n := r.spec.Dim // placeholder when neither the matrix nor its size survived
 	if r.spec.Matrix != nil {
-		j.n = r.spec.Matrix.Rows
-	} else if n := int(matrixNFromSpec(r.specRaw)); n > 0 {
-		j.n = n
+		n = r.spec.Matrix.Rows
+	} else if v := int(matrixNFromSpec(r.specRaw)); v > 0 {
+		n = v
 	}
-	j.shape = laneShapeOf(j.n, r.spec)
-	if r.state == "" {
+	j := s.newJob(context.Background(), r.spec, n, r.backend, r.fp, r.key)
+	j.id, j.seq, j.restarts, j.resume = r.id, r.seq, r.restarts, ck
+	if ck != nil {
+		j.resumedFrom = ck.Sweep
+	}
+	j.publish(Event{Type: EventQueued, State: StateQueued})
+	if r.live() {
 		return j
 	}
-	// Terminal job: restore the record without going through finish (no
-	// terminal journaling, no cancel-cause semantics — it already ended in
-	// a previous life). The event history is resynthesized so a subscriber
-	// still observes a complete queued → started → terminal stream.
-	j.state = r.state
-	j.started = now
-	j.finished = now
+	var res *Result
 	if len(r.result) > 0 {
-		var res Result
-		if err := json.Unmarshal(r.result, &res); err == nil {
-			j.result = &res
+		res = new(Result)
+		if json.Unmarshal(r.result, res) != nil {
+			res = nil
 		}
 	}
-	if r.state == StateDone && j.result == nil {
+	if r.pos == StateDone && res == nil {
 		// A done record without a readable result cannot satisfy Result();
 		// surface it as a failure rather than a nil result.
-		j.state = StateFailed
-		r.state = StateFailed
+		r.pos = StateFailed
 		r.errMsg = "result lost in recovery"
 	}
+	c := change{ev: finishEvents[r.pos], res: res, restored: true}
 	if r.errMsg != "" {
-		j.err = errors.New(r.errMsg)
-	} else if r.state == StateFailed || r.state == StateCanceled {
-		j.err = fmt.Errorf("service: job %s %s before restart (no cause recorded)", r.id, r.state)
+		c.err = errors.New(r.errMsg)
+	} else if r.pos != StateDone {
+		c.err = fmt.Errorf("service: job %s %s before restart (no cause recorded)", r.id, r.pos)
 	}
-	j.spec.Matrix = nil
-	cancel(nil)
-	j.publish(Event{Type: EventQueued, State: StateQueued})
-	j.publish(Event{Type: EventStarted, State: StateRunning})
-	ev := Event{Type: EventDone, State: r.state}
-	switch r.state {
-	case StateFailed:
-		ev.Type = EventFailed
-	case StateCanceled:
-		ev.Type = EventCanceled
-	}
-	if j.err != nil {
-		ev.Error = j.err.Error()
-	}
-	j.publish(ev)
-	close(j.done)
+	j.apply(c)
 	return j
+}
+
+// registerRestored makes a rebuilt job visible: the job table, the listing
+// order, its idempotency key and, for a live job, the queue — it counts as
+// submitted in this boot, while a restored terminal job was counted by the
+// boot that accepted it. Shared by recovery and Adopt; it registers
+// nothing and reports false once the service closed.
+func (s *Service) registerRestored(j *Job, live bool) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return false
+	}
+	s.seq = max(s.seq, j.seq)
+	s.jobs[j.id] = j
+	s.order = append(s.order, j.id)
+	if j.idemKey != "" {
+		s.idem[j.idemKey] = j.id
+	}
+	if live {
+		s.metrics.Submitted++
+		s.enqueueLocked(j)
+	}
+	s.evictOldJobsLocked()
+	return true
 }
 
 // matrixNFromSpec digs the matrix size out of a spec JSON whose matrix was
@@ -328,12 +296,12 @@ func (s *Service) compactJournal(byID map[string]*recoveredJob) error {
 			Fp:      r.fp,
 			Spec:    r.specRaw,
 		}
-		if r.state != "" {
+		if !r.live() {
 			sub.Spec = slimSpec(r)
 		}
 		recs = append(recs, sub)
-		if r.state != "" {
-			recs = append(recs, store.Record{Kind: store.KindFinished, ID: r.id, State: string(r.state), Result: r.result, Err: r.errMsg})
+		if !r.live() {
+			recs = append(recs, store.Record{Kind: store.KindFinished, ID: r.id, State: string(r.pos), Result: r.result, Err: r.errMsg})
 			continue
 		}
 		if r.restarts > 0 {

@@ -46,6 +46,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -329,9 +330,6 @@ func New(cfg Config) *Service {
 // Workers returns the solve-pool size.
 func (s *Service) Workers() int { return s.cfg.Workers }
 
-// NodeID returns the configured cluster node ID ("" outside cluster mode).
-func (s *Service) NodeID() string { return s.cfg.NodeID }
-
 // jobID names the job with sequence number seq: "job-<seq>" for a
 // standalone service, "job-<node>-<seq>" in cluster mode.
 func (s *Service) jobID(seq uint64) string {
@@ -388,36 +386,19 @@ func (s *Service) SubmitKeyed(ctx context.Context, key string, spec JobSpec) (*J
 		// when the result cache is disabled and nothing would consume it.
 		fp = spec.fingerprint(backend)
 	}
-	jctx, cancel := context.WithCancelCause(ctx)
-	j := &Job{
-		spec:      spec,
-		n:         spec.Matrix.Rows,
-		shape:     laneShapeOf(spec.Matrix.Rows, spec),
-		backend:   backend,
-		fp:        fp,
-		priority:  spec.Priority,
-		tenant:    tenantName(spec.Tenant),
-		ctx:       jctx,
-		cancel:    cancel,
-		svc:       s,
-		state:     StateQueued,
-		submitted: time.Now(),
-		done:      make(chan struct{}),
-		index:     -1,
-		idemKey:   key,
-	}
+	j := s.newJob(ctx, spec, spec.Matrix.Rows, backend, fp, key)
 
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		cancel(nil)
+		j.cancel(nil)
 		return nil, false, ErrClosed
 	}
 	if key != "" {
 		if id, ok := s.idem[key]; ok {
 			existing := s.jobs[id]
 			s.mu.Unlock()
-			cancel(nil)
+			j.cancel(nil)
 			return existing, true, nil
 		}
 	}
@@ -426,7 +407,7 @@ func (s *Service) SubmitKeyed(ctx context.Context, key string, spec JobSpec) (*J
 	// quota. Both reject before the job is registered or journaled.
 	if err := s.admitTenantLocked(j.tenant); err != nil {
 		s.mu.Unlock()
-		cancel(nil)
+		j.cancel(nil)
 		return nil, false, err
 	}
 	var shed *Job
@@ -435,7 +416,7 @@ func (s *Service) SubmitKeyed(ctx context.Context, key string, spec JobSpec) (*J
 		if shed, ok = s.admitQueueLocked(j.priority); !ok {
 			s.mu.Unlock()
 			s.finishShed(shed)
-			cancel(nil)
+			j.cancel(nil)
 			return nil, false, fmt.Errorf("%w (%d jobs)", ErrQueueFull, s.cfg.QueueCap)
 		}
 	} else if len(s.queue) >= s.cfg.QueueCap && s.shedVictimLocked(j.priority) < 0 {
@@ -445,7 +426,7 @@ func (s *Service) SubmitKeyed(ctx context.Context, key string, spec JobSpec) (*J
 		// an innocent queued job.
 		s.metrics.QueueFullRejected++
 		s.mu.Unlock()
-		cancel(nil)
+		j.cancel(nil)
 		return nil, false, fmt.Errorf("%w (%d jobs)", ErrQueueFull, s.cfg.QueueCap)
 	}
 	s.seq++
@@ -629,8 +610,7 @@ func (s *Service) finishShed(j *Job) {
 	if j == nil {
 		return
 	}
-	j.cancel(ErrShed)
-	j.finish(StateCanceled, nil, ErrShed, false)
+	j.abort(ErrShed)
 }
 
 // enqueueLocked pushes a job into the priority queue, maintaining the
@@ -659,27 +639,23 @@ func (s *Service) noteDequeuedLocked(j *Job) {
 // disappears from the job table, the listing order and the idempotency
 // index, and then finishes as canceled — a concurrent same-key submitter
 // may already hold the job through idempotency reuse, and its Wait/Events
-// must still reach a terminal state (finish closes done, publishes the
+// must still reach a terminal state (the cancel closes done, publishes the
 // terminal event, and journals the cancellation when a durable submitted
 // record exists). The job was never queued, so no worker can hold it.
 func (s *Service) withdraw(j *Job, cause error) {
 	s.mu.Lock()
 	delete(s.jobs, j.id)
-	for i, id := range s.order {
-		if id == j.id {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
+	if i := slices.Index(s.order, j.id); i >= 0 {
+		s.order = slices.Delete(s.order, i, i+1)
 	}
 	if j.idemKey != "" && s.idem[j.idemKey] == j.id {
 		delete(s.idem, j.idemKey)
 	}
 	s.mu.Unlock()
-	j.cancel(cause)
-	// Withdrawn jobs were registered (Submitted counted them), so finish
-	// lands them in the canceled counter too — otherwise the snapshot
-	// counters drift from the job-table states.
-	j.finish(StateCanceled, nil, cause, false)
+	// Withdrawn jobs were registered (Submitted counted them), so the
+	// cancel lands them in the canceled counter too — otherwise the
+	// snapshot counters drift from the job-table states.
+	j.abort(cause)
 }
 
 // persistSubmitted journals one accepted job (spec, key, resolved
@@ -703,27 +679,25 @@ func (s *Service) persistSubmitted(j *Job) error {
 }
 
 // persistFinished journals a terminal transition and drops the job's
-// checkpoint snapshot. Shutdown cancellations are skipped on purpose: the
-// job is still live as far as the journal is concerned and resumes on the
-// next boot. A journal failure here cannot be returned (the in-memory
-// transition already happened and must not be blocked), so it is reported
-// loudly instead: the durable record then still says in-flight, and the
-// next boot re-runs a job this process reported done/failed/canceled —
-// for done jobs the result cache absorbs the rerun, for cancels it means
-// a resurrected job the operator should know about.
-func (s *Service) persistFinished(j *Job, state State, res *Result, cause error) {
-	if s.cfg.Store == nil {
-		return
-	}
-	if state == StateCanceled && errors.Is(cause, ErrShutdown) {
+// checkpoint snapshot. Restored jobs are journaled already, and shutdown
+// cancellations are skipped on purpose: the job is still live as far as
+// the journal is concerned and resumes on the next boot. A journal
+// failure here cannot be returned (the in-memory transition already
+// happened and must not be blocked), so it is reported loudly instead:
+// the durable record then still says in-flight, and the next boot re-runs
+// a job this process reported done/failed/canceled — for done jobs the
+// result cache absorbs the rerun, for cancels it means a resurrected job
+// the operator should know about.
+func (s *Service) persistFinished(j *Job, state State, c change) {
+	if s.cfg.Store == nil || c.restored || state == StateCanceled && errors.Is(c.err, ErrShutdown) {
 		return
 	}
 	rec := store.Record{Kind: store.KindFinished, ID: j.id, State: string(state)}
-	if res != nil {
-		rec.Result, _ = json.Marshal(res)
+	if c.res != nil {
+		rec.Result, _ = json.Marshal(c.res)
 	}
-	if cause != nil {
-		rec.Err = cause.Error()
+	if c.err != nil {
+		rec.Err = c.err.Error()
 	}
 	if err := s.cfg.Store.Append(rec); err != nil {
 		fmt.Fprintf(os.Stderr, "service: job %s: terminal %s record not journaled (job may resurrect on restart): %v\n", j.id, state, err)
@@ -767,7 +741,7 @@ func (s *Service) dropQueued(j *Job) {
 	}
 	s.mu.Unlock()
 	if removed {
-		j.finish(StateCanceled, nil, context.Cause(j.ctx), false)
+		j.abort(context.Cause(j.ctx))
 	}
 }
 
@@ -788,16 +762,15 @@ func (s *Service) evictOldJobsLocked() {
 			kept = append(kept, s.order[i:]...)
 			break
 		}
-		switch s.jobs[id].State() {
-		case StateDone, StateFailed, StateCanceled:
-			if k := s.jobs[id].idemKey; k != "" {
-				delete(s.idem, k)
-			}
-			delete(s.jobs, id)
-			excess--
-		default:
+		if !s.jobs[id].State().terminal() {
 			kept = append(kept, id)
+			continue
 		}
+		if k := s.jobs[id].idemKey; k != "" {
+			delete(s.idem, k)
+		}
+		delete(s.jobs, id)
+		excess--
 	}
 	s.order = kept
 }
@@ -911,8 +884,7 @@ func (s *Service) Close() {
 	s.mu.Unlock()
 
 	for _, j := range append(drained, lent...) {
-		j.cancel(ErrShutdown)
-		j.finish(StateCanceled, nil, ErrShutdown, false)
+		j.abort(ErrShutdown)
 	}
 	for _, j := range inflight {
 		j.cancel(ErrShutdown)
@@ -940,11 +912,12 @@ func (s *Service) worker() {
 		}
 		j := heap.Pop(&s.queue).(*Job)
 		s.noteDequeuedLocked(j)
-		s.startLocked(j)
+		s.claimLocked(j)
 		s.mu.Unlock()
 
-		// Every job a worker takes reaches finish, whose recordFinish
-		// releases its in-flight slot together with the terminal count.
+		// Every job a worker takes reaches a terminal transition, whose
+		// metrics release its in-flight slot together with the terminal
+		// count.
 		if j.backend == BackendLane {
 			s.executeLane(s.gatherLane(j))
 		} else {
@@ -953,51 +926,28 @@ func (s *Service) worker() {
 	}
 }
 
-// startLocked counts a job a worker took off the queue as in flight until
-// recordFinish counts its terminal transition. Caller holds s.mu.
-func (s *Service) startLocked(j *Job) {
+// claimLocked counts a job a worker took off the queue as in flight until
+// its terminal transition is counted. It is taken at dequeue, in the same
+// critical section, so submitted == terminal + queued + in flight holds at
+// every snapshot. Caller holds s.mu.
+func (s *Service) claimLocked(j *Job) {
 	j.inflight = true
 	s.inflight++
 }
 
-// execute runs one dequeued job: cancellation check, cache lookup, solve,
-// cache fill, bookkeeping.
+// execute runs one dequeued job: cancellation check, cache lookup, then
+// the solve between its start and terminal transitions.
 func (s *Service) execute(j *Job) {
-	if j.ctx.Err() != nil {
-		j.finish(StateCanceled, nil, context.Cause(j.ctx), false)
+	if j.abortIfCanceled() || s.serveCached(j) || !j.apply(change{ev: evStart}) {
 		return
 	}
-	if s.cfg.Store != nil {
-		// Best-effort: a lost start record only means recovery re-enqueues
-		// the job as queued instead of resumed — still correct.
-		_ = s.cfg.Store.Append(store.Record{Kind: store.KindStarted, ID: j.id})
-	}
-	if res, ok := s.cacheLookup(j.fp); ok {
-		j.mu.Lock()
-		j.started = time.Now()
-		j.mu.Unlock()
-		// A cache hit still reports a started → done pair, so every
-		// consumer sees the same lifecycle shape (just without sweeps).
-		j.publish(Event{Type: EventStarted, State: StateRunning})
-		j.finish(StateDone, res, nil, true)
-		return
-	}
-
-	j.mu.Lock()
-	j.state = StateRunning
-	j.started = time.Now()
-	j.mu.Unlock()
-	j.publish(Event{Type: EventStarted, State: StateRunning})
-
 	res, err := s.solve(j)
 	switch {
-	case err != nil && j.ctx.Err() != nil:
-		j.finish(StateCanceled, nil, context.Cause(j.ctx), false)
+	case err != nil && j.abortIfCanceled():
 	case err != nil:
-		j.finish(StateFailed, nil, err, false)
+		j.apply(change{ev: evFail, err: err})
 	default:
-		s.cacheStore(j.fp, res)
-		j.finish(StateDone, res, nil, false)
+		j.apply(change{ev: evDone, res: res})
 	}
 }
 
@@ -1006,24 +956,9 @@ func (s *Service) solve(j *Job) (*Result, error) {
 	j.mu.Lock()
 	spec := j.spec
 	j.mu.Unlock()
-	h := RunHooks{
-		// Per-sweep progress feeds the job's event stream. The hook runs on
-		// node 0's goroutine inside the solve: publish never blocks (slow
-		// subscribers drop, see events.go), so the solver is never gated on
-		// a consumer.
-		OnSweep: func(p engine.SweepProgress) {
-			j.publish(Event{Type: EventSweep, State: StateRunning, Sweep: &SweepEvent{
-				Sweep:     p.Sweep,
-				MaxRel:    p.MaxRel,
-				OffNorm:   p.OffNorm,
-				Rotations: p.Rotations,
-			}})
-			if sweepHook != nil {
-				sweepHook(j, p)
-			}
-		},
-		Resume: j.takeResume(),
-	}
+	// Per-sweep progress feeds the job's event stream from node 0's
+	// goroutine inside the solve.
+	h := RunHooks{OnSweep: j.publishSweep, Resume: j.takeResume()}
 	if !s.checkpoints(spec) {
 		return RunSpec(j.ctx, spec, j.backend, h)
 	}

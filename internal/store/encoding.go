@@ -78,6 +78,21 @@ const (
 	KindRestarted Kind = 4
 )
 
+// String names the kind as the journal documentation does.
+func (k Kind) String() string {
+	switch k {
+	case KindSubmitted:
+		return "submitted"
+	case KindStarted:
+		return "started"
+	case KindFinished:
+		return "finished"
+	case KindRestarted:
+		return "restarted"
+	}
+	return fmt.Sprintf("kind %d", uint8(k))
+}
+
 // Record is one journal entry. Kinds use the subset of fields their
 // documentation names; the rest stay zero.
 type Record struct {
